@@ -165,7 +165,7 @@ def run_batch(
                     RunRecord(
                         instance=name,
                         config=config,
-                        status=f"error: {type(exc).__name__}",
+                        status=f"error: {type(exc).__name__}: {exc}",
                         time=0.0,
                         lower=-math.inf,
                         upper=math.inf,

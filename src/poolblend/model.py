@@ -246,7 +246,7 @@ class Model:
             res = max(var.lower - value, value - var.upper, 0.0)
             if res > worst:
                 worst, worst_name = res, f"bounds[{var.name}]"
-        return FeasibilityReport(feasible=worst <= tol, worst_name=worst_name, worst_residual=worst)
+        return FeasibilityReport(feasible=bool(worst <= tol), worst_name=worst_name, worst_residual=worst)
 
     # -- utilities -----------------------------------------------------
 

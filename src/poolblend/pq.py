@@ -73,10 +73,12 @@ def _require_frozen(net: Network) -> None:
 
 def index_set_il(net: Network) -> list[tuple[str, str]]:
     _require_frozen(net)
+    inputs = set(net.inputs())
+    pools = set(net.pools())
     return sorted(
         (e.source, e.destination)
         for e in net.pq_edges()
-        if e.source in set(net.inputs()) and e.destination in set(net.pools())
+        if e.source in inputs and e.destination in pools
     )
 
 

@@ -1,11 +1,17 @@
 """Bounded-variable primal simplex with a two-phase start.
 
-Dense numpy implementation sized for the instances this package generates
+Numpy implementation sized for the instances this package generates
 (hundreds of rows).  Nonbasic variables rest at a bound, rows carry slacks,
-and an artificial basis opens phase 1.  Entering variable: most negative
-reduced-cost direction (Dantzig), with a permanent switch to Bland's rule
-after 5*(m+n) degenerate pivots so cycling cannot occur.  Deterministic for
-a fixed input: all ties break on the lowest variable index.
+and an artificial basis opens phase 1.  Only the structural columns are
+stored (dense, m x n): slack i is the implicit unit column e_i and
+artificial i is sigma_i * e_i.  The explicit basis inverse gets its rank-1
+update on the nonzero support of the pivot column and pivot row only; the
+skipped entries would subtract exact zeros, so the inverse, and with it the
+pivot sequence, is the same as under a dense update.  Entering variable:
+most negative reduced-cost direction (Dantzig), with a permanent switch to
+Bland's rule after 5*(m+n) degenerate pivots so cycling cannot occur.
+Deterministic for a fixed input: all ties break on the lowest variable
+index.
 """
 
 from __future__ import annotations
@@ -127,19 +133,17 @@ class _Simplex:
         self.n_struct = n
         N = n + m + m  # structural | slacks | artificials
         self.N = N
-        Afull = np.zeros((m, N))
-        Afull[:, :n] = A
+        self.A = np.ascontiguousarray(A, dtype=float)
+        self.sigma = np.ones(m)  # artificial i is sigma[i] * e_i
         slack_lo = np.zeros(m)
         slack_up = np.zeros(m)
         for i, sense in enumerate(senses):
-            Afull[i, n + i] = 1.0
             if sense == "<":
                 slack_lo[i], slack_up[i] = 0.0, math.inf
             elif sense == ">":
                 slack_lo[i], slack_up[i] = -math.inf, 0.0
             else:
                 slack_lo[i], slack_up[i] = 0.0, 0.0
-        self.Afull = Afull
         self.lo = np.concatenate([lo, slack_lo, np.zeros(m)])
         self.up = np.concatenate([up, slack_up, np.full(m, math.inf)])
         self.b = b.astype(float)
@@ -187,9 +191,10 @@ class _Simplex:
                     self.status[j] = self.FREE
         self.lo[self.art_start :] = 0.0
         self.up[self.art_start :] = math.inf
-        resid = self.b - self.Afull[:, :n] @ self.x[:n]
+        resid = self.b - self.A @ self.x[:n]
         self.basis = np.empty(m, dtype=int)
-        sigma = np.ones(m)
+        sigma = self.sigma
+        sigma[:] = 1.0
         for i in range(m):
             slack = n + i
             art = self.art_start + i
@@ -199,7 +204,6 @@ class _Simplex:
                 self.basis[i] = slack
                 self.x[slack] = r
                 self.status[slack] = self.BASIC
-                self.Afull[i, art] = 1.0
                 self.x[art] = 0.0
                 self.status[art] = self.AT_LOWER
             else:
@@ -212,7 +216,6 @@ class _Simplex:
                     self.status[slack] = self.AT_UPPER
                 gap = r - self.x[slack]
                 sigma[i] = 1.0 if gap >= 0 else -1.0
-                self.Afull[i, art] = sigma[i]
                 self.basis[i] = art
                 self.x[art] = abs(gap)
                 self.status[art] = self.BASIC
@@ -223,16 +226,31 @@ class _Simplex:
 
     # -- helpers --------------------------------------------------------
 
+    def _column(self, j: int) -> np.ndarray:
+        """Column j: structural from A, slack i as e_i, artificial i as sigma_i * e_i."""
+        if j < self.n:
+            return self.A[:, j]
+        i = (j - self.n) % self.m
+        col = np.zeros(self.m)
+        col[i] = 1.0 if j < self.art_start else self.sigma[i]
+        return col
+
+    def _basis_matrix(self) -> np.ndarray:
+        """The m x m basis B whose inverse the pivot loop carries."""
+        return np.column_stack([self._column(j) for j in self.basis])
+
+    def _row_activity(self, x: np.ndarray) -> np.ndarray:
+        """A x + slacks + sigma * artificials, for a full-length point x."""
+        n, m = self.n, self.m
+        return self.A @ x[:n] + x[n : n + m] + self.sigma * x[n + m :]
+
     def _recompute_basics(self) -> None:
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        nonbasic = np.ones(self.N, dtype=bool)
-        nonbasic[self.basis] = False
-        rhs = self.b - self.Afull[:, nonbasic] @ xn[nonbasic]
-        self.x[self.basis] = self.B_inv @ rhs
+        self.x[self.basis] = self.B_inv @ (self.b - self._row_activity(xn))
 
     def _refactor(self) -> None:
-        B = self.Afull[:, self.basis]
+        B = self._basis_matrix()
         try:
             self.B_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
@@ -257,7 +275,7 @@ class _Simplex:
         primal infeasible; the caller restarts from phase 1 in that case.
         """
         m = self.m
-        B = self.Afull[:, self.basis]
+        B = self._basis_matrix()
         Q = np.zeros((m, 0))
         dropped = []
         for k in range(m):
@@ -286,7 +304,7 @@ class _Simplex:
                 art = self.art_start + row
                 if self.status[art] == self.BASIC:
                     continue
-                col = self.Afull[:, art]
+                col = self._column(art)
                 r = col - Q @ (Q.T @ col)
                 if float(np.linalg.norm(r)) > 1e-8:
                     Q = np.column_stack([Q, r / float(np.linalg.norm(r))])
@@ -296,7 +314,7 @@ class _Simplex:
                     break
             if not placed:
                 raise NumericalFailure("basis repair found no replacement column")
-        B = self.Afull[:, self.basis]
+        B = self._basis_matrix()
         try:
             self.B_inv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
@@ -339,11 +357,11 @@ class _Simplex:
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactor()
             y = c[self.basis] @ self.B_inv
-            d = c - y @ self.Afull
+            d = self._reduced_costs(c, y)
             enter, direction = self._choose_entering(d)
             if enter < 0:
                 return None  # phase optimal
-            alpha = self.B_inv @ self.Afull[:, enter]
+            alpha = self.B_inv @ self._column(enter)
             steps = direction * alpha
             xB = self.x[self.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -394,10 +412,23 @@ class _Simplex:
             if abs(pivot) < _PIVOT_TOL:
                 self._refactor()
                 continue
+            # rank-1 update on the nonzero support: every skipped entry
+            # would subtract an exact zero
             row = self.B_inv[leave, :] / pivot
-            self.B_inv -= np.outer(alpha, row)
+            rows = np.flatnonzero(alpha)
+            cols = np.flatnonzero(row)
+            self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
             self.B_inv[leave, :] = row
             self._since_refactor += 1
+
+    def _reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """d = c - y [A | I | diag(sigma)], without forming the m x N matrix."""
+        n, m = self.n, self.m
+        d = np.empty(self.N)
+        d[:n] = c[:n] - y @ self.A
+        d[n : n + m] = c[n : n + m] - y
+        d[n + m :] = c[n + m :] - self.sigma * y
+        return d
 
     def _count_degenerate(self, t: float) -> None:
         if t <= 1e-12:
@@ -455,7 +486,7 @@ class _Simplex:
 
     def _worst_residual(self) -> float:
         scale = max(1.0, float(np.max(np.abs(self.b))))
-        lhs = self.Afull @ self.x
+        lhs = self._row_activity(self.x)
         return float(np.max(np.abs(lhs - self.b))) / scale
 
     def _bounds_only(self) -> LPResult:

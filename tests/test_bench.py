@@ -1,7 +1,10 @@
 import itertools
 import math
+import types
 
 import pytest
+
+import poolblend.bench as bench
 
 from poolblend import GapSpec, performance_profile, run_batch, shifted_geomean
 from poolblend.bench import (
@@ -130,6 +133,27 @@ def test_run_batch_shape_and_heuristic_value():
     for r in records:
         assert r.status == "optimal"
         assert r.gap == pytest.approx(100.0 * abs(r.lower - r.upper) / max(abs(r.lower), abs(r.upper)) if r.lower != 0 and r.upper != 0 else r.gap, abs=1e-12)
+
+
+def test_run_batch_error_record_keeps_message(monkeypatch):
+    calls = []
+
+    def fake_branch_and_cut(pq, gap, options):
+        calls.append(options)
+        if len(calls) == 2:
+            raise ValueError("row r7 has no finite bound, try again")
+        return types.SimpleNamespace(
+            status="optimal", lower=-400.0, upper=-400.0, heuristic_seconds=0.0, root_cut_seconds=0.0
+        )
+
+    monkeypatch.setattr(bench, "branch_and_cut", fake_branch_and_cut)
+    records = run_batch([("h1", haverly())], ["default", "cuts"])
+    assert [r.status for r in records] == [
+        "optimal",
+        "error: ValueError: row r7 has no finite bound, try again",
+    ]
+    # the comma in the message survives the CSV round trip
+    assert [r.status for r in records_from_csv(records_to_csv(records))] == [r.status for r in records]
 
 
 def test_oracle_mode_excludes_heuristic_time():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +51,12 @@ def test_is_feasible_reports_worst():
     assert not report
     assert report.worst_name in {"sum_le", "prod_eq"}
     assert report.worst_residual == pytest.approx(1.0)
+
+
+def test_is_feasible_report_is_bool_on_numpy_point():
+    m = two_var_model()
+    assert bool(m.is_feasible(np.array([2.0, 1.0]), 1e-6)) is True
+    assert bool(m.is_feasible(np.zeros(2), 1e-6)) is False
 
 
 def test_is_feasible_checks_bounds():

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from poolblend import LinearExpr, Model, Sense, build_pq, relax, solve_lp
+import poolblend.simplex as simplex
 from poolblend.simplex import LPArrays, LPStatus, solve_arrays
 
 
@@ -84,7 +85,10 @@ def _random_lp(rng, n, m):
 
 
 def _scipy_solve(model):
-    arrays = LPArrays.from_model(model)
+    return _highs(LPArrays.from_model(model))
+
+
+def _highs(arrays):
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for row, sense, rhs in zip(arrays.A, arrays.senses, arrays.b):
         if sense == "<":
@@ -191,3 +195,42 @@ def test_objective_constant_carries_through():
     m.objective = LinearExpr({x.id: 1.0}, constant=5.0)
     res = solve_lp(m)
     assert res.objective == pytest.approx(5.0)
+
+
+def test_sparse_inverse_update_stays_exact(monkeypatch):
+    """With refactoring off, the rank-1 updates alone carry B_inv to the end."""
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
+    rng = np.random.default_rng(7)
+    m, n = 300, 200
+    A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.03)
+    lo = rng.uniform(-2.0, 0.0, size=n)
+    up = lo + rng.uniform(0.5, 3.0, size=n)
+    c = rng.normal(size=n)
+    senses = [("<", ">", "=")[k] for k in rng.choice(3, size=m, p=[0.45, 0.45, 0.1])]
+    # rhs at an interior point, loosened on the inequality rows
+    slack_sign = np.array([{"<": 1.0, ">": -1.0, "=": 0.0}[s] for s in senses])
+    b = A @ ((lo + up) / 2.0) + slack_sign * rng.uniform(0.0, 0.5, size=m)
+
+    snapshots = []
+    phase = simplex._Simplex._phase
+
+    def recording_phase(self, costs):
+        status = phase(self, costs)
+        snapshots.append((self.B_inv.copy(), self.basis.copy(), self.sigma.copy(), self._since_refactor))
+        return status
+
+    monkeypatch.setattr(simplex._Simplex, "_phase", recording_phase)
+    arrays = LPArrays(c, A, senses, b, lo, up, [], [])
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+
+    # the last phase ends on an inverse built by updates alone
+    B_inv, basis, sigma, updates = snapshots[-1]
+    assert updates >= 100
+    # structural | slack e_i | artificial sigma_i * e_i
+    B = np.hstack([A, np.eye(m), np.diag(sigma)])[:, basis]
+    assert np.max(np.abs(B_inv @ B - np.eye(m))) <= 1e-8
+
+    ref = _highs(arrays)
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-7)

@@ -8,13 +8,7 @@ import poolblend as pb
 from poolblend.instances import haverly
 
 pq = pb.build_pq(haverly())
-
-# activate the redundant pool-balance rows before relaxing; they are free
-# strength once the bilinear products share envelope variables
-work = pq.model.clone()
-for name in pq.groups["pq_cut"]:
-    work.activate(name)
-rm = pb.relax(work)
+rm = pb.relax(pq.model)
 
 cb = pb.add_all_pooling_inequalities(rm, pq)
 print("triplet parameters:")

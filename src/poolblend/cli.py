@@ -115,10 +115,7 @@ def _cmd_heuristic(args) -> int:
 def _cmd_cutloop(args) -> int:
     net = _load(args.instance)
     pq = build_pq(net)
-    work = pq.model.clone()
-    for name in pq.groups.get("pq_cut", []):
-        work.activate(name)
-    rm = relax(work)
+    rm = relax(pq.model)
     cb = add_all_pooling_inequalities(rm, pq)
     for iteration in range(args.max_rounds):
         res = solve_lp(rm.lp)

@@ -9,8 +9,8 @@ quality_upper minus input quality, so feasibility at the output reads
 u + t >= 0.
 
 On top of the defining equalities the block installs the McCormick envelope
-of r = s*p (with r tied to u, since u equals s*p on feasible flows), two
-families of static linear inequalities, and on demand the gradient cuts of
+of s*p on u itself (u equals s*p on feasible flows, and the two share their
+bounds), two families of static linear inequalities, and on demand the gradient cuts of
 two convex nonlinear inequalities.  The nonlinear families are handled in
 forms whose linearizations are globally valid: the first as a perspective
 function (convex for s > 0), the second only on triplets where every
@@ -75,7 +75,6 @@ class CutBlock:
     u: dict[tuple[str, str, str], int]
     t: dict[tuple[str, str, str], int]
     p: dict[tuple[str, str, str], int]
-    r: dict[tuple[str, str, str], int]
     defining_rows: list[str]
     envelope_rows: list[str]
     static_rows: list[str]
@@ -112,7 +111,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
     u_vars: dict[tuple[str, str, str], int] = {}
     t_vars: dict[tuple[str, str, str], int] = {}
     p_vars: dict[tuple[str, str, str], int] = {}
-    r_vars: dict[tuple[str, str, str], int] = {}
     params: dict[tuple[str, str, str], TripletParams] = {}
     defining: list[str] = []
     envelope: list[str] = []
@@ -179,9 +177,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
             t_hi = max(0.0, beta_hi) if beta_hi is not None else 0.0
             t_vars[key] = lp.add_variable(f"cut_t[{l},{j},{k}]", t_lo, t_hi).id
             p_vars[key] = lp.add_variable(f"cut_p[{l},{j},{k}]", eta_lo, eta_hi).id
-            r_vars[key] = lp.add_variable(
-                f"cut_r[{l},{j},{k}]", min(0.0, eta_lo), max(0.0, eta_hi)
-            ).id
 
             expr = LinearExpr({u_vars[key]: 1.0})
             for i in feeders:
@@ -207,26 +202,20 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
             lp.add_constraint(name, expr, Sense.EQ, 0.0)
             defining.append(name)
 
-            name = f"link_cut_r[{l},{j},{k}]"
-            lp.add_constraint(
-                name, LinearExpr({r_vars[key]: 1.0, u_vars[key]: -1.0}), Sense.EQ, 0.0
-            )
-            defining.append(name)
-
-            # McCormick envelope of r = s*p over [0,1] x [eta_lo, eta_hi]
-            s_id, p_id, r_id = s_vars[(l, j)], p_vars[key], r_vars[key]
+            # McCormick envelope of u = s*p over [0,1] x [eta_lo, eta_hi]
+            s_id, p_id, u_id, t_id = s_vars[(l, j)], p_vars[key], u_vars[key], t_vars[key]
             rows = [
-                (f"cut_env1[{l},{j},{k}]", LinearExpr({r_id: 1.0, s_id: -eta_lo}), Sense.GE, 0.0),
-                (f"cut_env2[{l},{j},{k}]", LinearExpr({r_id: 1.0, s_id: -eta_hi}), Sense.LE, 0.0),
+                (f"cut_env1[{l},{j},{k}]", LinearExpr({u_id: 1.0, s_id: -eta_lo}), Sense.GE, 0.0),
+                (f"cut_env2[{l},{j},{k}]", LinearExpr({u_id: 1.0, s_id: -eta_hi}), Sense.LE, 0.0),
                 (
                     f"cut_env3[{l},{j},{k}]",
-                    LinearExpr({r_id: 1.0, s_id: -eta_lo, p_id: -1.0}),
+                    LinearExpr({u_id: 1.0, s_id: -eta_lo, p_id: -1.0}),
                     Sense.LE,
                     -eta_lo,
                 ),
                 (
                     f"cut_env4[{l},{j},{k}]",
-                    LinearExpr({r_id: -1.0, s_id: eta_hi, p_id: 1.0}),
+                    LinearExpr({u_id: -1.0, s_id: eta_hi, p_id: 1.0}),
                     Sense.LE,
                     eta_hi,
                 ),
@@ -235,7 +224,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
                 lp.add_constraint(name, expr, sense, rhs)
                 envelope.append(name)
 
-            u_id, t_id = u_vars[key], t_vars[key]
             if beta_hi is not None and beta_hi > 0.0:
                 # (beta_hi - eta_hi)(u - eta_lo s) <= beta_hi (p - eta_lo)
                 coeff = beta_hi - eta_hi
@@ -269,7 +257,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
         u=u_vars,
         t=t_vars,
         p=p_vars,
-        r=r_vars,
         defining_rows=defining,
         envelope_rows=envelope,
         static_rows=static,

@@ -1,18 +1,22 @@
 """Convex LP relaxation: every bilinear product is replaced by an auxiliary
 variable constrained to its McCormick envelope over the variable box.
 
-Products sharing the same variable pair share one auxiliary variable.  When a
-factor's box is degenerate (lower == upper) the product is linearized in
-place and no auxiliary variable is created.
+Products sharing the same variable pair share one auxiliary variable.  A
+defining row ``alpha*v - alpha*x*y = 0`` makes ``v`` itself the envelope
+variable of the pair: the row is not emitted and ``v``'s own box is
+intersected with the corner products, so the LP carries no identity row and
+no second column for the product.  When a factor's box is degenerate
+(lower == upper) the product is linearized in place and no auxiliary
+variable is created.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BoundsWiden, UnboundedBilinearVariable
-from .model import Domain, LinearExpr, Model, Sense
+from .model import BilinearTerm, Constraint, Domain, LinearExpr, Model, Sense
 
 __all__ = ["EnvelopeEntry", "RelaxedModel", "relax", "refresh_bounds"]
 
@@ -23,14 +27,16 @@ class EnvelopeEntry:
     x_id: int
     y_id: int
     row_names: list[str]
-    source: str
+    # the aux variable's own box; its LP box is this box intersected with
+    # the corner products of the current factor boxes
+    aux_lower: float = -math.inf
+    aux_upper: float = math.inf
 
 
 @dataclass
 class RelaxedModel:
     lp: Model
     envelopes: dict[tuple[int, int], EnvelopeEntry]
-    var_map: dict[int, int] = field(default_factory=dict)
     cut_hashes: set = field(default_factory=set)
     cut_rows: list[str] = field(default_factory=list)
 
@@ -38,10 +44,9 @@ class RelaxedModel:
         return RelaxedModel(
             lp=self.lp.clone(),
             envelopes={
-                key: EnvelopeEntry(e.aux_id, e.x_id, e.y_id, list(e.row_names), e.source)
+                key: replace(e, row_names=list(e.row_names))
                 for key, e in self.envelopes.items()
             },
-            var_map=dict(self.var_map),
             cut_hashes=set(self.cut_hashes),
             cut_rows=list(self.cut_rows),
         )
@@ -66,7 +71,11 @@ def _envelope_rows(lp: Model, entry: EnvelopeEntry) -> None:
     y = lp.variables[entry.y_id]
     xl, xu, yl, yu = x.lower, x.upper, y.lower, y.upper
     corners = _corner_products(xl, xu, yl, yu)
-    lp.set_bounds(entry.aux_id, min(corners), max(corners))
+    # assigned directly, not through set_bounds: an empty intersection is a
+    # valid outcome here, and the LP layer reports it as INFEASIBLE
+    aux = lp.variables[entry.aux_id]
+    aux.lower = max(entry.aux_lower, min(corners))
+    aux.upper = min(entry.aux_upper, max(corners))
     w, xi, yi = entry.aux_id, entry.x_id, entry.y_id
     rows = [
         # w >= xl*y + yl*x - xl*yl
@@ -88,60 +97,95 @@ def _envelope_rows(lp: Model, entry: EnvelopeEntry) -> None:
             lp.add_constraint(name, expr, sense, rhs)
 
 
+def _defined_product(con: Constraint) -> tuple[int, BilinearTerm] | None:
+    """(v, term) when the row reads alpha*v - alpha*x*y = 0 with v not a factor."""
+    if con.sense is not Sense.EQ or con.rhs != 0.0 or con.linear.constant != 0.0:
+        return None
+    if len(con.linear.terms) != 1 or len(con.bilinear) != 1:
+        return None
+    ((v, alpha),) = con.linear.terms.items()
+    term = con.bilinear[0]
+    if term.coefficient != -alpha or v in (term.var_a, term.var_b):
+        return None
+    return v, term
+
+
 def relax(model: Model) -> RelaxedModel:
     """Linearize the model: binaries become [0,1] continuous, every bilinear
     term routes through a shared envelope variable."""
     lp = Model(f"relaxed[{model.name}]")
     for var in model.variables:
         lp.add_variable(var.name, var.lower, var.upper, Domain.CONTINUOUS)
-    var_map = {v.id: v.id for v in model.variables}
 
     envelopes: dict[tuple[int, int], EnvelopeEntry] = {}
-    degenerate: dict[tuple[int, int], str] = {}  # pair -> which side is fixed
 
-    def rewrite(linear: LinearExpr, bilinear, source: str) -> LinearExpr:
+    def envelope_key(term: BilinearTerm) -> tuple[int, int] | None:
+        """The factor pair that needs an envelope, or None when a factor box
+        is degenerate; raises when a factor box is unbounded."""
+        xa, xb = model.variables[term.var_a], model.variables[term.var_b]
+        for var in (xa, xb):
+            if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
+                raise UnboundedBilinearVariable(
+                    f"variable {var.name!r} in a bilinear term has unbounded box"
+                )
+        if xa.lower == xa.upper or xb.lower == xb.upper:
+            return None
+        return (term.var_a, term.var_b)
+
+    def add_envelope(key: tuple[int, int], aux_id: int) -> None:
+        aux = lp.variables[aux_id]
+        envelopes[key] = EnvelopeEntry(
+            aux_id=aux_id,
+            x_id=key[0],
+            y_id=key[1],
+            row_names=[
+                f"mccormick_ge1[{aux.name}]",
+                f"mccormick_ge2[{aux.name}]",
+                f"mccormick_le1[{aux.name}]",
+                f"mccormick_le2[{aux.name}]",
+            ],
+            aux_lower=aux.lower,
+            aux_upper=aux.upper,
+        )
+
+    # defining rows first, so every other use of their product shares v
+    defined: set[str] = set()
+    for con in model.constraints.values():
+        found = _defined_product(con) if con.active else None
+        if found is None:
+            continue
+        v, term = found
+        key = envelope_key(term)
+        if key is None or key in envelopes:
+            continue
+        add_envelope(key, v)
+        defined.add(con.name)
+
+    def rewrite(linear: LinearExpr, bilinear) -> LinearExpr:
         out = linear.copy()
         for term in bilinear:
-            a, b = term.var_a, term.var_b
-            xa, xb = model.variables[a], model.variables[b]
-            for var in (xa, xb):
-                if not (math.isfinite(var.lower) and math.isfinite(var.upper)):
-                    raise UnboundedBilinearVariable(
-                        f"variable {var.name!r} in a bilinear term has unbounded box"
-                    )
-            if xa.lower == xa.upper:
-                out.add_term(b, term.coefficient * xa.lower)
+            xa, xb = model.variables[term.var_a], model.variables[term.var_b]
+            key = envelope_key(term)
+            if key is None:
+                if xa.lower == xa.upper:
+                    out.add_term(term.var_b, term.coefficient * xa.lower)
+                else:
+                    out.add_term(term.var_a, term.coefficient * xb.lower)
                 continue
-            if xb.lower == xb.upper:
-                out.add_term(a, term.coefficient * xb.lower)
-                continue
-            key = (a, b)
             if key not in envelopes:
-                aux = lp.add_variable(f"w[{xa.name}*{xb.name}]", 0.0, 0.0)
-                entry = EnvelopeEntry(
-                    aux_id=aux.id,
-                    x_id=a,
-                    y_id=b,
-                    row_names=[
-                        f"mccormick_ge1[{aux.name}]",
-                        f"mccormick_ge2[{aux.name}]",
-                        f"mccormick_le1[{aux.name}]",
-                        f"mccormick_le2[{aux.name}]",
-                    ],
-                    source=source,
-                )
-                envelopes[key] = entry
+                aux = lp.add_variable(f"w[{xa.name}*{xb.name}]")
+                add_envelope(key, aux.id)
             out.add_term(envelopes[key].aux_id, term.coefficient)
         return out
 
     for con in model.constraints.values():
-        if not con.active:
+        if not con.active or con.name in defined:
             continue
-        expr = rewrite(con.linear, con.bilinear, con.name)
+        expr = rewrite(con.linear, con.bilinear)
         lp.add_constraint(con.name, expr, con.sense, con.rhs)
-    lp.objective = rewrite(model.objective, model.objective_bilinear, "objective")
+    lp.objective = rewrite(model.objective, model.objective_bilinear)
 
-    rm = RelaxedModel(lp=lp, envelopes=envelopes, var_map=var_map)
+    rm = RelaxedModel(lp=lp, envelopes=envelopes)
     for key in sorted(envelopes):
         _envelope_rows(lp, envelopes[key])
     return rm
@@ -167,6 +211,9 @@ def refresh_bounds(rm: RelaxedModel, new_bounds: dict[int, tuple[float, float]])
     if changed:
         for key in sorted(rm.envelopes):
             entry = rm.envelopes[key]
+            if entry.aux_id in changed:
+                aux = rm.lp.variables[entry.aux_id]
+                entry.aux_lower, entry.aux_upper = aux.lower, aux.upper
             if entry.x_id in changed or entry.y_id in changed:
                 _envelope_rows(rm.lp, entry)
     return rm

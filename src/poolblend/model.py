@@ -145,15 +145,12 @@ class FeasibilityReport:
 
 
 class Model:
-    """Mutable while building; freeze() marks the build phase done."""
-
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
         self.constraints: dict[str, Constraint] = {}
         self.objective: LinearExpr = LinearExpr()
         self.objective_bilinear: list[BilinearTerm] = []
-        self._frozen = False
 
     # -- building ------------------------------------------------------
 
@@ -209,10 +206,6 @@ class Model:
             raise ValueError(f"variable {var.name!r}: lower {lower} > upper {upper}")
         var.lower = lower
         var.upper = upper
-
-    def freeze(self) -> "Model":
-        self._frozen = True
-        return self
 
     # -- evaluation ----------------------------------------------------
 
@@ -298,8 +291,6 @@ def _fmt(x: float) -> str:
 
 def _point_value(point, var_id: int) -> float:
     try:
-        if isinstance(point, Mapping):
-            return point[var_id]
         return point[var_id]
     except (KeyError, IndexError):
         raise MissingVariableValue(f"point has no value for variable id {var_id}") from None

@@ -3,9 +3,10 @@
 Variables follow the fractional-flow formulation: ``q[i,l]`` is the share of
 pool l's inflow coming from input i, ``y[l,j]`` the pool-to-output flow,
 ``z[i,j]`` the bypass flow, and ``v[i,l,j]`` the path flow with the defining
-bilinear identity v = q*y.  The redundant-but-strengthening per-(l,j) rows
-``sum_i q[i,l]*y[l,j] = y[l,j]`` are built deactivated; the relaxation layer
-switches them on before linearizing.
+bilinear identity v = q*y.  The per-(l,j) rows ``sum_i q[i,l]*y[l,j] =
+y[l,j]`` of the pq-formulation are built deactivated.  The relaxation leaves
+them off: its envelope of q*y is the variable v itself, so linearized they
+would repeat ``reduction_1``.
 
 Flow upper bounds are composed from edge capacities and node capacities:
 c_il = min(edge, input upper, pool upper), c_lj = min(edge, pool upper,
@@ -53,9 +54,6 @@ class PQModel:
     y_pool: dict[tuple[str, str], int]
     y_bypass: dict[tuple[str, str], int]
     groups: dict[str, list[str]] = field(default_factory=dict)
-
-    def group_rows(self, group: str) -> list[str]:
-        return list(self.groups.get(group, []))
 
     def deactivate_group(self, group: str) -> None:
         for name in self.groups.get(group, []):
@@ -131,6 +129,12 @@ def index_sets(net: Network) -> IndexSets:
     )
 
 
+def flow_cap(net: Network, a: str, b: str) -> float:
+    """Upper bound on the flow along edge a->b: min(edge upper, both node uppers)."""
+    edge_hi = net.edges[(a, b)].capacity_bounds()[1]
+    return min(edge_hi, net.nodes[a].capacity_bounds()[1], net.nodes[b].capacity_bounds()[1])
+
+
 def _quality(net: Network, i: str, k: str) -> float:
     return float(net.nodes[i].quality.get(k, 0.0))
 
@@ -173,37 +177,25 @@ def build_pq(net: Network) -> PQModel:
     def node_upper(name: str) -> float:
         return net.nodes[name].capacity_bounds()[1]
 
-    def cap_il(i: str, l: str) -> float:
-        edge_hi = net.edges[(i, l)].capacity_bounds()[1]
-        return min(edge_hi, node_upper(i), node_upper(l))
-
-    def cap_lj(l: str, j: str) -> float:
-        edge_hi = net.edges[(l, j)].capacity_bounds()[1]
-        return min(edge_hi, node_upper(l), node_upper(j))
-
-    def cap_ij(i: str, j: str) -> float:
-        edge_hi = net.edges[(i, j)].capacity_bounds()[1]
-        return min(edge_hi, node_upper(i), node_upper(j))
-
     # variables
     q = {}
     for i, l in sets.il:
         q[(i, l)] = model.add_variable(f"q[{i},{l}]", 0.0, 1.0).id
     v = {}
     for i, l, j in sets.ilj:
-        ub = min(cap_il(i, l), cap_lj(l, j))
+        ub = min(flow_cap(net, i, l), flow_cap(net, l, j))
         v[(i, l, j)] = model.add_variable(
             f"v[{i},{l},{j}]", 0.0, ub if math.isfinite(ub) else math.inf
         ).id
     y_pool = {}
     for l, j in sets.lj:
         lo = net.edges[(l, j)].capacity_bounds()[0]
-        hi = cap_lj(l, j)
+        hi = flow_cap(net, l, j)
         y_pool[(l, j)] = model.add_variable(f"y[{l},{j}]", lo, hi).id
     y_bypass = {}
     for i, j in sets.ij:
         lo = net.edges[(i, j)].capacity_bounds()[0]
-        hi = cap_ij(i, j)
+        hi = flow_cap(net, i, j)
         y_bypass[(i, j)] = model.add_variable(f"z[{i},{j}]", lo, hi).id
 
     by_pool_outputs = {l: [j for ll, j in sets.lj if ll == l] for l in pools}
@@ -364,7 +356,7 @@ def build_pq(net: Network) -> PQModel:
         served = by_pool_outputs[l]
         if not served:
             continue
-        c = cap_il(i, l)
+        c = flow_cap(net, i, l)
         if math.isfinite(c):
             name = f"flow_bound_upper[{i},{l}]"
             model.add_constraint(
@@ -394,29 +386,16 @@ def build_pq(net: Network) -> PQModel:
         )
         groups["pq_cut"].append(name)
 
-    model.freeze()
     return PQModel(
         model=model, network=net, q=q, v=v, y_pool=y_pool, y_bypass=y_bypass, groups=groups
     )
 
 
 def rebuild(pq: PQModel) -> PQModel:
-    """Regenerate the model from the network, carrying over deactivations.
-
-    pq_cut rows are deactivated by default; any other row that the caller had
-    deactivated stays deactivated if a row of the same name exists after the
-    rebuild.
-    """
-    previously_inactive = {
-        name for name, con in pq.model.constraints.items() if not con.active
-    }
+    """Regenerate the model from the network, carrying over every row's
+    active flag to the row of the same name after the rebuild."""
     fresh = build_pq(pq.network)
-    for name in previously_inactive:
+    for name, con in pq.model.constraints.items():
         if name in fresh.model.constraints:
-            fresh.model.deactivate(name)
-    # rows that were activated by hand (pq_cut) stay at the fresh default
-    # unless they were inactive before; re-activate the ones the caller had on
-    for name in pq.groups.get("pq_cut", []):
-        if name in fresh.model.constraints and name not in previously_inactive:
-            fresh.model.activate(name)
+            fresh.model.constraints[name].active = con.active
     return fresh

@@ -19,7 +19,7 @@ from .errors import (
     UnboundedOutputCapacity,
 )
 from .model import Domain, LinearExpr, Sense
-from .pq import PQModel, index_set_lj
+from .pq import PQModel, flow_cap, index_set_lj
 
 __all__ = [
     "RestrictionSpec",
@@ -84,8 +84,16 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
     net = pq.network
     model = pq.model
 
-    # validate all weights up front so a bad spec leaves the model untouched
+    # validate all weights and caps up front so a bad spec leaves the model
+    # untouched
     per_pool_weights = {l: spec.weights_for(l) for l in net.pools()}
+    lj = index_set_lj(net)
+    cap_lj = {(l, j): flow_cap(net, l, j) for l, j in lj}
+    for (l, j), hi in cap_lj.items():
+        if not math.isfinite(hi):
+            raise UnboundedOutputCapacity(
+                f"flow bound for {l!r}->{j!r} is unbounded; the restriction needs a finite cap"
+            )
 
     prev_active = {}
     for group in ("path_definition", "pq_cut"):
@@ -94,19 +102,9 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
             model.deactivate(name)
 
     vars_before = len(model.variables)
-    lj = index_set_lj(net)
     by_pool_outputs: dict[str, list[str]] = {}
     for l, j in lj:
         by_pool_outputs.setdefault(l, []).append(j)
-
-    def cap_lj(l: str, j: str) -> float:
-        edge_hi = net.edges[(l, j)].capacity_bounds()[1]
-        hi = min(edge_hi, net.nodes[l].capacity_bounds()[1], net.nodes[j].capacity_bounds()[1])
-        if not math.isfinite(hi):
-            raise UnboundedOutputCapacity(
-                f"flow bound for {l!r}->{j!r} is unbounded; the restriction needs a finite cap"
-            )
-        return hi
 
     w: dict[tuple[str, str, int, str], int] = {}
     zeta: dict[tuple[str, int, str], int] = {}
@@ -122,7 +120,7 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
         for (i, l, j) in sorted(pq.v):
             for t in range(1, spec.tau + 1):
                 w[(i, l, t, j)] = model.add_variable(
-                    f"w[{i},{l},{t},{j}]", 0.0, cap_lj(l, j)
+                    f"w[{i},{l},{t},{j}]", 0.0, cap_lj[(l, j)]
                 ).id
         for l in net.pools():
             for t in range(1, spec.tau + 1):
@@ -159,7 +157,7 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
 
         # flow_choice_limit[i,l,t,j]: w <= c_lj * zeta
         for (i, l, t, j), wid in sorted(w.items()):
-            expr = LinearExpr({wid: 1.0, zeta[(l, t, j)]: -cap_lj(l, j)})
+            expr = LinearExpr({wid: 1.0, zeta[(l, t, j)]: -cap_lj[(l, j)]})
             name = f"flow_choice_limit[{i},{l},{t},{j}]"
             model.add_constraint(name, expr, Sense.LE, 0.0)
             rows.append(name)
@@ -217,28 +215,20 @@ def uninstall_restriction(rm: RestrictedModel) -> PQModel:
     return rm.pq
 
 
-def derive_fractional_flows(rm: RestrictedModel, solution) -> RestoredSolution:
-    """Turn a restricted-model solution into a full pooling assignment.
+def fractional_flow_values(pq: PQModel, point) -> dict[int, float]:
+    """Project a point's flows onto the bilinear identities.
 
-    q[i,l] comes from the flow ratios v/y on the output with the most pool
-    throughput; pools that move nothing get uniform fractions.  Path flows
-    are recomputed as q*y so the bilinear identities hold exactly.
+    Pool and bypass flows are kept.  q[i,l] comes from the flow ratios v/y
+    on the output with the most pool throughput; pools that move nothing get
+    uniform fractions.  Path flows are recomputed as q*y so the bilinear
+    identities hold exactly.
     """
-    pq = rm.pq
-    model = pq.model
-    if rm.installed:
-        report = model.is_feasible(solution, tol=1e-6)
-        if not report:
-            raise InfeasibleInput(
-                f"solution violates {report.worst_name} by {report.worst_residual:.3g}"
-            )
-
     net = pq.network
     values: dict[int, float] = {}
     for (l, j), yid in pq.y_pool.items():
-        values[yid] = float(solution[yid])
+        values[yid] = float(point[yid])
     for (i, j), zid in pq.y_bypass.items():
-        values[zid] = float(solution[zid])
+        values[zid] = float(point[zid])
 
     by_pool_outputs: dict[str, list[str]] = {}
     for (l, j) in pq.y_pool:
@@ -249,21 +239,35 @@ def derive_fractional_flows(rm: RestrictedModel, solution) -> RestoredSolution:
         if not feeders:
             continue
         served = by_pool_outputs.get(l, [])
-        totals = {
-            j: sum(float(solution[pq.v[(i, l, j)]]) for i in feeders) for j in served
-        }
+        totals = {j: sum(float(point[pq.v[(i, l, j)]]) for i in feeders) for j in served}
         throughput = sum(totals.values())
-        if throughput <= _ZERO_THROUGHPUT or not served:
+        if throughput <= _ZERO_THROUGHPUT:
             for i in feeders:
                 values[pq.q[(i, l)]] = 1.0 / len(feeders)
         else:
             j_star = max(served, key=lambda j: (totals[j], j))
             denom = totals[j_star]
             for i in feeders:
-                values[pq.q[(i, l)]] = float(solution[pq.v[(i, l, j_star)]]) / denom
+                values[pq.q[(i, l)]] = float(point[pq.v[(i, l, j_star)]]) / denom
 
     for (i, l, j), vid in pq.v.items():
         values[vid] = values[pq.q[(i, l)]] * values[pq.y_pool[(l, j)]]
+    return values
+
+
+def derive_fractional_flows(rm: RestrictedModel, solution) -> RestoredSolution:
+    """Turn a restricted-model solution into a full pooling assignment
+    (see fractional_flow_values) and check it against the pooling rows."""
+    pq = rm.pq
+    model = pq.model
+    if rm.installed:
+        report = model.is_feasible(solution, tol=1e-6)
+        if not report:
+            raise InfeasibleInput(
+                f"solution violates {report.worst_name} by {report.worst_residual:.3g}"
+            )
+
+    values = fractional_flow_values(pq, solution)
 
     worst, worst_name = 0.0, None
     for name, con in model.constraints.items():

@@ -465,7 +465,7 @@ class _Simplex:
             )
         self.up[self.art_start :] = 0.0
         self.degenerate_pivots = 0
-        self.bland = False
+        self.bland = self._force_bland
         status = self._phase(self.c_real)
         if status is LPStatus.UNBOUNDED:
             return LPResult(

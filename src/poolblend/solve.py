@@ -24,6 +24,7 @@ from .restriction import (
     RestoredSolution,
     RestrictionSpec,
     derive_fractional_flows,
+    fractional_flow_values,
     install_restriction,
     uninstall_restriction,
 )
@@ -222,44 +223,8 @@ class SolveReport:
         )
 
 
-def _pq_candidate(pq: PQModel, point) -> dict[int, float]:
-    """Project an LP point onto the bilinear identities: renormalize q onto
-    the simplex (flow-ratio derivation where the pool moves material) and
-    rebuild v as q*y."""
-    values: dict[int, float] = {}
-    for (l, j), yid in pq.y_pool.items():
-        values[yid] = float(point[yid])
-    for (i, j), zid in pq.y_bypass.items():
-        values[zid] = float(point[zid])
-    by_pool_outputs: dict[str, list[str]] = {}
-    for (l, j) in pq.y_pool:
-        by_pool_outputs.setdefault(l, []).append(j)
-    pools = sorted({l for (_, l) in pq.q})
-    for l in pools:
-        feeders = sorted(i for (i, ll) in pq.q if ll == l)
-        served = by_pool_outputs.get(l, [])
-        totals = {j: sum(float(point[pq.v[(i, l, j)]]) for i in feeders) for j in served}
-        throughput = sum(totals.values())
-        if throughput > 1e-9:
-            j_star = max(served, key=lambda j: (totals[j], j))
-            denom = totals[j_star]
-            for i in feeders:
-                values[pq.q[(i, l)]] = float(point[pq.v[(i, l, j_star)]]) / denom
-        else:
-            total_q = sum(float(point[pq.q[(i, l)]]) for i in feeders)
-            if total_q > 1e-9:
-                for i in feeders:
-                    values[pq.q[(i, l)]] = float(point[pq.q[(i, l)]]) / total_q
-            else:
-                for i in feeders:
-                    values[pq.q[(i, l)]] = 1.0 / len(feeders)
-    for (i, l, j), vid in pq.v.items():
-        values[vid] = values[pq.q[(i, l)]] * values[pq.y_pool[(l, j)]]
-    return values
-
-
 def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], float] | None:
-    candidate = _pq_candidate(pq, point)
+    candidate = fractional_flow_values(pq, point)
     report = pq.model.is_feasible(candidate, _MC_FEAS_TOL)
     if not report:
         return None
@@ -332,11 +297,7 @@ def branch_and_cut(
             incumbent_values = solution.values
             upper = solution.objective
 
-    # relaxation of the model with the redundant pool-balance rows active
-    work = pq.model.clone()
-    for name in pq.groups.get("pq_cut", []):
-        work.activate(name)
-    rm = relax(work)
+    rm = relax(pq.model)
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
 
     t0 = time.monotonic()

@@ -57,7 +57,6 @@ def extend_with_cut_values(cb, values):
         out[cb.t[key]] = t / c
         p = sum(exc(i) * values[pq.q[(i, l)]] for i in feeders)
         out[cb.p[key]] = p
-        out[cb.r[key]] = out[cb.s[(l, j)]] * p
     return out
 
 

@@ -137,6 +137,50 @@ def test_unbounded_factor_raises():
         relax(m)
 
 
+def defined_product_model(v_bounds):
+    """v = x*y as a defining row (scaled by 2), plus a second row using x*y."""
+    m = Model("defined")
+    x = m.add_variable("x", 0.0, 2.0)
+    y = m.add_variable("y", 1.0, 3.0)
+    v = m.add_variable("v", *v_bounds)
+    m.add_constraint("def", LinearExpr({v.id: 2.0}), Sense.EQ, 0.0,
+                     bilinear=[BilinearTerm.of(-2.0, x.id, y.id)])
+    m.add_constraint("use", LinearExpr(), Sense.LE, 5.0,
+                     bilinear=[BilinearTerm.of(1.0, x.id, y.id)])
+    return m, x, y, v
+
+
+def test_defining_row_puts_envelope_on_defined_variable():
+    m, x, y, v = defined_product_model((0.5, 10.0))
+    rm = relax(m)
+    # no aux column and no row for the identity; the other use shares v
+    assert len(rm.lp.variables) == 3
+    assert "def" not in rm.lp.constraints
+    assert rm.envelopes[(x.id, y.id)].aux_id == v.id
+    assert rm.lp.constraints["use"].linear.terms == {v.id: 1.0}
+    assert len(rm.lp.constraints) == 1 + 4
+    # v's own box [0.5, 10] intersected with the corner products [0, 6]
+    aux = rm.lp.variables[v.id]
+    assert (aux.lower, aux.upper) == (0.5, 6.0)
+    refresh_bounds(rm, {y.id: (1.0, 2.0)})
+    assert (aux.lower, aux.upper) == (0.5, 4.0)
+    # a tightened v box is v's own box from then on
+    refresh_bounds(rm, {v.id: (1.0, 3.5)})
+    refresh_bounds(rm, {x.id: (0.0, 1.9)})
+    assert (aux.lower, aux.upper) == (1.0, 3.5)
+
+
+def test_refresh_empty_defined_box_is_infeasible():
+    m, x, y, v = defined_product_model((3.0, 10.0))
+    rm = relax(m)
+    assert solve_lp(rm.lp).status is LPStatus.OPTIMAL
+    # corner products now top out at 1 * 2 = 2, below v's lower bound 3
+    refresh_bounds(rm, {x.id: (0.0, 1.0), y.id: (1.0, 2.0)})
+    aux = rm.lp.variables[v.id]
+    assert aux.lower > aux.upper
+    assert solve_lp(rm.lp).status is LPStatus.INFEASIBLE
+
+
 def test_inactive_rows_are_dropped():
     m = product_model(0.0, 1.0, 0.0, 1.0)
     m.deactivate("prod")

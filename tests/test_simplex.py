@@ -234,3 +234,27 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
     ref = _highs(arrays)
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def test_forced_bland_reaches_phase_two(monkeypatch, h1):
+    """From the second restart on, both phases of the attempt run Bland's rule."""
+    worst_residual = simplex._Simplex._worst_residual
+    phase = simplex._Simplex._phase
+    checks = []
+    bland_at_phase_start = []
+
+    def failing_twice(self):
+        checks.append(None)
+        return 1.0 if len(checks) <= 2 else worst_residual(self)
+
+    def recording_phase(self, costs):
+        bland_at_phase_start.append(self.bland)
+        return phase(self, costs)
+
+    monkeypatch.setattr(simplex._Simplex, "_worst_residual", failing_twice)
+    monkeypatch.setattr(simplex._Simplex, "_phase", recording_phase)
+    res = solve_lp(relax(build_pq(h1).model).lp)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.objective == pytest.approx(-500.0, rel=1e-9)
+    # (phase 1, phase 2) per attempt; the third attempt is the forced one
+    assert bland_at_phase_start == [False, False, False, False, True, True]

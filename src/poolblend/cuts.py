@@ -2,9 +2,9 @@
 
 For each pool l, output j it serves, and quality k the output bounds, the
 relaxation tracks scaled aggregates of the flow arriving at j: s (pool flow
-scaled by the output capacity), u (its quality excess), t and z (excess and
-amount of everything else arriving at j), and p (the pool's per-unit excess,
-a convex combination of the feed excesses).  All excesses are measured as
+scaled by the output capacity), u (its quality excess), t (the excess of
+everything else arriving at j), and p (the pool's per-unit excess, a convex
+combination of the feed excesses).  All excesses are measured as
 quality_upper minus input quality, so feasibility at the output reads
 u + t >= 0.
 
@@ -70,7 +70,6 @@ class CutBlock:
     rm: RelaxedModel
     pq: PQModel
     params: dict[tuple[str, str, str], TripletParams]
-    z: dict[tuple[str, str], int]
     s: dict[tuple[str, str], int]
     u: dict[tuple[str, str, str], int]
     t: dict[tuple[str, str, str], int]
@@ -106,7 +105,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
     lp = rm.lp
     lj_pairs = index_set_lj(net)
 
-    z_vars: dict[tuple[str, str], int] = {}
     s_vars: dict[tuple[str, str], int] = {}
     u_vars: dict[tuple[str, str, str], int] = {}
     t_vars: dict[tuple[str, str, str], int] = {}
@@ -130,18 +128,7 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
             set(bypass) | {i for ll in other_pools for i in net.inputs_to_pool(ll)}
         )
 
-        z_vars[(l, j)] = lp.add_variable(f"cut_z[{l},{j}]", 0.0, 1.0).id
         s_vars[(l, j)] = lp.add_variable(f"cut_s[{l},{j}]", 0.0, 1.0).id
-
-        expr = LinearExpr({z_vars[(l, j)]: 1.0})
-        for i in bypass:
-            expr.add_term(pq.y_bypass[(i, j)], -inv_c)
-        for ll in other_pools:
-            expr.add_term(pq.y_pool[(ll, j)], -inv_c)
-        name = f"def_cut_z[{l},{j}]"
-        lp.add_constraint(name, expr, Sense.EQ, 0.0)
-        defining.append(name)
-
         expr = LinearExpr({s_vars[(l, j)]: 1.0})
         for i in feeders:
             expr.add_term(pq.v[(i, l, j)], -inv_c)
@@ -252,7 +239,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
         rm=rm,
         pq=pq,
         params=params,
-        z=z_vars,
         s=s_vars,
         u=u_vars,
         t=t_vars,

@@ -1,17 +1,29 @@
 """Bounded-variable primal simplex with a two-phase start.
 
 Numpy implementation sized for the instances this package generates
-(hundreds of rows).  Nonbasic variables rest at a bound, rows carry slacks,
-and an artificial basis opens phase 1.  Only the structural columns are
-stored (dense, m x n): slack i is the implicit unit column e_i and
-artificial i is sigma_i * e_i.  The explicit basis inverse gets its rank-1
-update on the nonzero support of the pivot column and pivot row only; the
-skipped entries would subtract exact zeros, so the inverse, and with it the
-pivot sequence, is the same as under a dense update.  Entering variable:
-most negative reduced-cost direction (Dantzig), with a permanent switch to
-Bland's rule after 5*(m+n) degenerate pivots so cycling cannot occur.
-Deterministic for a fixed input: all ties break on the lowest variable
-index.
+(hundreds of rows).  ``solve_arrays`` decides what the simplex carries:
+after the bound overrides, every row with at most one nonzero is a bound,
+so ``a * x_j (sense) b`` tightens the box of x_j by b/a (the sense flips
+for a < 0) and an empty row is checked and dropped.  A box that crosses by
+at most 1e-9 relative is snapped to a point, since a quotient can land an
+ulp outside; a wider crossing is infeasible.  The solution keeps every
+column.
+
+Nonbasic variables rest at a bound, rows carry slacks, and an artificial
+basis opens phase 1.  Only the structural columns are stored (dense,
+m x n): slack i is the implicit unit column e_i and artificial i is
+sigma_i * e_i.  The explicit basis inverse gets its rank-1 update on the
+nonzero support of the pivot column and pivot row only; the skipped
+entries would subtract exact zeros, so the inverse, and with it the pivot
+sequence, is the same as under a dense update.  Entering variable: most
+negative reduced-cost direction (Dantzig) over the columns that can move,
+so fixed structurals, equality-row slacks and phase-2 artificials are never
+priced, with a permanent switch to Bland's rule after 5*(m+n) degenerate
+pivots so cycling cannot occur.  Leaving variable: Harris's two-pass ratio
+test with an absolute tolerance, so no basic variable passes a bound by
+more than 1e-9; among the rows that block within that step the largest
+pivot wins.  Deterministic for a fixed input: all ties break on the lowest
+variable index.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from .model import Domain, Model
 __all__ = ["LPStatus", "LPResult", "LPArrays", "solve_lp", "solve_arrays"]
 
 _OPT_TOL = 1e-9
+_FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-10
 _REFACTOR_EVERY = 100
@@ -57,8 +70,6 @@ class LPArrays:
     b: np.ndarray
     lo: np.ndarray
     up: np.ndarray
-    names: list[str]
-    row_names: list[str]
     objective_constant: float = 0.0
 
     @classmethod
@@ -73,7 +84,7 @@ class LPArrays:
         c = np.zeros(n)
         for var_id, coeff in model.objective.terms.items():
             c[var_id] = coeff
-        rows, senses, b, row_names = [], [], [], []
+        rows, senses, b = [], [], []
         for con in model.constraints.values():
             if not con.active:
                 continue
@@ -85,19 +96,8 @@ class LPArrays:
             rows.append(row)
             senses.append({"<=": "<", "==": "=", ">=": ">"}[con.sense.value])
             b.append(con.rhs - con.linear.constant)
-            row_names.append(con.name)
         A = np.asarray(rows) if rows else np.zeros((0, n))
-        return cls(
-            c,
-            A,
-            senses,
-            np.asarray(b, dtype=float),
-            lo,
-            up,
-            [v.name for v in model.variables],
-            row_names,
-            model.objective.constant,
-        )
+        return cls(c, A, senses, np.asarray(b, dtype=float), lo, up, model.objective.constant)
 
 
 def solve_lp(model: Model, bound_overrides: dict[int, tuple[float, float]] | None = None) -> LPResult:
@@ -112,9 +112,31 @@ def solve_arrays(arrays: LPArrays, bound_overrides: dict[int, tuple[float, float
         for var_id, (vlo, vup) in bound_overrides.items():
             lo[var_id] = vlo
             up[var_id] = vup
+    A, senses, b = arrays.A, arrays.senses, arrays.b
+    keep = np.count_nonzero(A, axis=1) > 1
+    for i in np.flatnonzero(~keep):
+        # a row with at most one nonzero is a bound: a * x_j (sense) b
+        (cols,) = np.nonzero(A[i])
+        sense = senses[i]
+        if not cols.size:
+            if (sense != ">" and b[i] < -_FEAS_TOL) or (sense != "<" and b[i] > _FEAS_TOL):
+                return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
+            continue
+        j = cols[0]
+        bound = b[i] / A[i, j]
+        if A[i, j] < 0 and sense != "=":
+            sense = "<" if sense == ">" else ">"
+        if sense != ">":
+            up[j] = min(up[j], bound)
+        if sense != "<":
+            lo[j] = max(lo[j], bound)
+    # a quotient can land an ulp outside the box: snap such crossings shut
+    with np.errstate(invalid="ignore"):
+        snap = (lo > up) & (lo <= up + _FEAS_TOL * np.maximum(1.0, np.abs(up)))
+    lo[snap] = up[snap]
     if np.any(lo > up):
         return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
-    result = _Simplex(arrays.c, arrays.A, arrays.senses, arrays.b, lo, up).run()
+    result = _Simplex(arrays.c, A[keep], [s for s, k in zip(senses, keep) if k], b[keep], lo, up).run()
     if result.status is LPStatus.OPTIMAL:
         result.objective += arrays.objective_constant
     return result
@@ -153,15 +175,7 @@ class _Simplex:
         self.status = np.empty(N, dtype=np.int8)
         self.x = np.zeros(N)
         for j in range(n + m):
-            if math.isfinite(self.lo[j]):
-                self.status[j] = self.AT_LOWER
-                self.x[j] = self.lo[j]
-            elif math.isfinite(self.up[j]):
-                self.status[j] = self.AT_UPPER
-                self.x[j] = self.up[j]
-            else:
-                self.status[j] = self.FREE
-                self.x[j] = 0.0
+            self._park(j, self.lo[j])
         self.basis = np.arange(self.art_start, self.art_start + m)
         self.iterations = 0
         self.max_iterations = 20000 + 60 * (m + n)
@@ -179,16 +193,7 @@ class _Simplex:
         m, n = self.m, self.n
         for j in range(n + m):
             if self.status[j] == self.BASIC:
-                value, lo, up = self.x[j], self.lo[j], self.up[j]
-                if math.isfinite(lo) and (not math.isfinite(up) or abs(value - lo) <= abs(value - up)):
-                    self.x[j] = lo
-                    self.status[j] = self.AT_LOWER
-                elif math.isfinite(up):
-                    self.x[j] = up
-                    self.status[j] = self.AT_UPPER
-                else:
-                    self.x[j] = 0.0
-                    self.status[j] = self.FREE
+                self._park(j, self.x[j])
         self.lo[self.art_start :] = 0.0
         self.up[self.art_start :] = math.inf
         resid = self.b - self.A @ self.x[:n]
@@ -207,13 +212,7 @@ class _Simplex:
                 self.x[art] = 0.0
                 self.status[art] = self.AT_LOWER
             else:
-                # park the slack at the bound nearest the residual
-                if r < self.lo[slack]:
-                    self.x[slack] = self.lo[slack]
-                    self.status[slack] = self.AT_LOWER
-                else:
-                    self.x[slack] = self.up[slack]
-                    self.status[slack] = self.AT_UPPER
+                self._park(slack, r)
                 gap = r - self.x[slack]
                 sigma[i] = 1.0 if gap >= 0 else -1.0
                 self.basis[i] = art
@@ -225,6 +224,16 @@ class _Simplex:
         self._since_refactor = 0
 
     # -- helpers --------------------------------------------------------
+
+    def _park(self, j: int, value: float) -> None:
+        """Make j nonbasic at its finite bound nearest value, else free at 0."""
+        lo, up = self.lo[j], self.up[j]
+        if math.isfinite(lo) and (not math.isfinite(up) or abs(value - lo) <= abs(value - up)):
+            self.x[j], self.status[j] = lo, self.AT_LOWER
+        elif math.isfinite(up):
+            self.x[j], self.status[j] = up, self.AT_UPPER
+        else:
+            self.x[j], self.status[j] = 0.0, self.FREE
 
     def _column(self, j: int) -> np.ndarray:
         """Column j: structural from A, slack i as e_i, artificial i as sigma_i * e_i."""
@@ -288,17 +297,7 @@ class _Simplex:
                 dropped.append(k)
         for k in dropped:
             out_var = int(self.basis[k])
-            value = self.x[out_var]
-            lo, up = self.lo[out_var], self.up[out_var]
-            if math.isfinite(lo) and (not math.isfinite(up) or abs(value - lo) <= abs(value - up)):
-                self.x[out_var] = lo
-                self.status[out_var] = self.AT_LOWER
-            elif math.isfinite(up):
-                self.x[out_var] = up
-                self.status[out_var] = self.AT_UPPER
-            else:
-                self.x[out_var] = 0.0
-                self.status[out_var] = self.FREE
+            self._park(out_var, self.x[out_var])
             placed = False
             for row in range(m):
                 art = self.art_start + row
@@ -325,9 +324,11 @@ class _Simplex:
             raise _Restart
 
     def _choose_entering(self, d: np.ndarray) -> tuple[int, float]:
+        # a fixed column (lo == up) has nowhere to move, so it is never priced
+        movable = self.lo != self.up
         score = np.full(self.N, -math.inf)
-        at_lo = self.status == self.AT_LOWER
-        at_up = self.status == self.AT_UPPER
+        at_lo = (self.status == self.AT_LOWER) & movable
+        at_up = (self.status == self.AT_UPPER) & movable
         free = self.status == self.FREE
         score[at_lo] = -d[at_lo]
         score[at_up] = d[at_up]
@@ -373,8 +374,6 @@ class _Simplex:
             t_own = self.up[enter] - self.lo[enter]
             if t_own < t_min - _RATIO_TIE:
                 # bound flip: entering travels its full range, basis unchanged
-                if not math.isfinite(t_own):
-                    return LPStatus.UNBOUNDED
                 self._count_degenerate(t_own)
                 self.x[self.basis] = xB - t_own * steps
                 self.status[enter] = (
@@ -386,10 +385,13 @@ class _Simplex:
                 continue
             if not math.isfinite(t_min):
                 return LPStatus.UNBOUNDED
-            # stability window: among near-minimal ratios prefer the largest
-            # pivot so the basis inverse stays well conditioned
-            window = max(_RATIO_TIE, 1e-7 * (1.0 + abs(t_min)))
-            ties = np.flatnonzero(t_cand <= t_min + window)
+            # Harris: t_max is the longest step that moves no basic variable
+            # more than _FEAS_TOL past its bound; among the rows that block
+            # within it prefer the largest pivot, so the inverse stays well
+            # conditioned
+            with np.errstate(divide="ignore"):
+                t_max = float(np.min(t_cand + _FEAS_TOL / np.abs(steps)))
+            ties = np.flatnonzero(t_cand <= t_max)
             if self.bland:
                 leave = int(ties[np.argmin(self.basis[ties])])
             else:
@@ -399,7 +401,7 @@ class _Simplex:
                 # suspicious pivot on a stale inverse: refresh and retry
                 self._refactor()
                 continue
-            t_leave = float(min(t_cand[leave], t_min + window))
+            t_leave = float(t_cand[leave])
             self._count_degenerate(t_leave)
             out_var = int(self.basis[leave])
             hit_lower = steps[leave] > 0

@@ -32,15 +32,10 @@ def extend_with_cut_values(cb, values):
     pq = cb.pq
     net = pq.network
     out = dict(values)
-    for (l, j), z_id in cb.z.items():
+    for (l, j), s_id in cb.s.items():
         c = net.nodes[j].capacity_bounds()[1]
-        bypass = net.inputs_to_output(j)
-        others = [ll for ll in net.pools_to_output(j) if ll != l]
-        z = sum(values[pq.y_bypass[(i, j)]] for i in bypass)
-        z += sum(values[pq.y_pool[(ll, j)]] for ll in others)
-        out[z_id] = z / c
         s = sum(values[pq.v[(i, l, j)]] for i in net.inputs_to_pool(l))
-        out[cb.s[(l, j)]] = s / c
+        out[s_id] = s / c
     for key, u_id in cb.u.items():
         l, j, k = key
         c = net.nodes[j].capacity_bounds()[1]

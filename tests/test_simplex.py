@@ -216,20 +216,24 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
 
     def recording_phase(self, costs):
         status = phase(self, costs)
-        snapshots.append((self.B_inv.copy(), self.basis.copy(), self.sigma.copy(), self._since_refactor))
+        snapshots.append(
+            (self.A, self.B_inv.copy(), self.basis.copy(), self.sigma.copy(), self._since_refactor)
+        )
         return status
 
     monkeypatch.setattr(simplex._Simplex, "_phase", recording_phase)
-    arrays = LPArrays(c, A, senses, b, lo, up, [], [])
+    arrays = LPArrays(c, A, senses, b, lo, up)
     res = solve_arrays(arrays)
     assert res.status is LPStatus.OPTIMAL
 
     # the last phase ends on an inverse built by updates alone
-    B_inv, basis, sigma, updates = snapshots[-1]
+    A_kept, B_inv, basis, sigma, updates = snapshots[-1]
     assert updates >= 100
-    # structural | slack e_i | artificial sigma_i * e_i
-    B = np.hstack([A, np.eye(m), np.diag(sigma)])[:, basis]
-    assert np.max(np.abs(B_inv @ B - np.eye(m))) <= 1e-8
+    # structural | slack e_i | artificial sigma_i * e_i, over the rows the
+    # simplex carries (singleton rows were folded into the bounds)
+    m_kept = A_kept.shape[0]
+    B = np.hstack([A_kept, np.eye(m_kept), np.diag(sigma)])[:, basis]
+    assert np.max(np.abs(B_inv @ B - np.eye(m_kept))) <= 1e-8
 
     ref = _highs(arrays)
     assert ref.status == 0
@@ -258,3 +262,60 @@ def test_forced_bland_reaches_phase_two(monkeypatch, h1):
     assert res.objective == pytest.approx(-500.0, rel=1e-9)
     # (phase 1, phase 2) per attempt; the third attempt is the forced one
     assert bland_at_phase_start == [False, False, False, False, True, True]
+
+
+def test_ratio_test_overshoots_no_bound_by_more_than_tolerance():
+    """Harris's window is absolute: a long step must not push a tied basic
+    variable far enough past its bound to fail the final drift check."""
+    arrays = LPArrays(
+        np.array([-1.0, 0.0]),
+        np.array([[2.0, 1.0], [1.0, 1.0]]),
+        ["<", "<"],
+        np.array([200.00001, 100.0]),
+        np.array([0.0, 0.0]),
+        np.array([math.inf, 1.0]),
+    )
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.objective == pytest.approx(-100.0, rel=1e-12)
+
+
+def test_fixed_columns_never_enter(monkeypatch):
+    choose = simplex._Simplex._choose_entering
+    fixed_entered = []
+
+    def recording_choose(self, d):
+        enter, direction = choose(self, d)
+        if enter >= 0 and self.lo[enter] == self.up[enter]:
+            fixed_entered.append(enter)
+        return enter, direction
+
+    monkeypatch.setattr(simplex._Simplex, "_choose_entering", recording_choose)
+    # x0 is fixed at 1; row 0 is an equality, so its slack is fixed at 0
+    arrays = LPArrays(
+        np.array([-10.0, -1.0, 0.0]),
+        np.array([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0]]),
+        ["=", "<"],
+        np.array([3.0, 1.0]),
+        np.array([1.0, 0.0, 0.0]),
+        np.array([1.0, 5.0, 5.0]),
+    )
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.objective == pytest.approx(-11.5, rel=1e-12)
+    assert fixed_entered == []
+
+
+def test_singleton_row_crossing_by_an_ulp_snaps_to_a_point():
+    lo, up = np.array([0.0, 0.0]), np.array([0.1, 1.0])
+    # 0.7 x0 = 0.07 folds to lo = up = 0.07 / 0.7, one ulp above 0.1
+    assert 0.07 / 0.7 == np.nextafter(0.1, 1.0)
+    row = np.array([[0.7, 0.0], [1.0, 1.0]])
+    arrays = LPArrays(np.array([1.0, 1.0]), row, ["=", ">"], np.array([0.07, 0.5]), lo, up)
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.x[0] == 0.1
+    assert res.objective == pytest.approx(0.5, rel=1e-12)
+    # a real crossing stays infeasible
+    wide = LPArrays(arrays.c, row, ["=", ">"], np.array([0.0707, 0.5]), lo, up)
+    assert solve_arrays(wide).status is LPStatus.INFEASIBLE

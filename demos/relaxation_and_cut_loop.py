@@ -23,7 +23,8 @@ for iteration in range(10):
     print("  Adding {} cuts".format(new_cuts))
     if not new_cuts:
         break
-    res = pb.solve_lp(rm.lp)
+    # re-optimize from the previous optimal basis: only the new cut rows move
+    res = pb.solve_lp(rm.lp, start=res)
 
 print("installed gradient cuts:")
 print(cb.dump_cut_pool())

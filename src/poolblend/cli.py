@@ -117,8 +117,9 @@ def _cmd_cutloop(args) -> int:
     pq = build_pq(net)
     rm = relax(pq.model)
     cb = add_all_pooling_inequalities(rm, pq)
+    res = None
     for iteration in range(args.max_rounds):
-        res = solve_lp(rm.lp)
+        res = solve_lp(rm.lp, start=res)
         if res.status is not LPStatus.OPTIMAL:
             print(f"Iter {iteration}: LP {res.status.value}")
             return 0

@@ -1,4 +1,5 @@
-"""Bounded-variable primal simplex with a two-phase start.
+"""Bounded-variable primal simplex with a two-phase start, and a dual phase
+that re-optimizes from an earlier optimal basis.
 
 Numpy implementation sized for the instances this package generates
 (hundreds of rows).  ``solve_arrays`` decides what the simplex carries:
@@ -24,6 +25,22 @@ test with an absolute tolerance, so no basic variable passes a bound by
 more than 1e-9; among the rows that block within that step the largest
 pivot wins.  Deterministic for a fixed input: all ties break on the lowest
 variable index.
+
+An optimal result carries its basis (``LPResult.basis``): one int8 status
+per structural column and one per ``LPArrays`` row for its slack, with a
+code of its own for a basic artificial and -1 for a row folded into a bound.
+It is O(n+m) bytes and holds no factor.  A solve given ``start=`` (a cut
+round: the same columns, rows appended) installs that basis with the new
+rows' slacks basic, which keeps it dual feasible, and factors it once.  A
+bounded dual phase then restores primal feasibility: the basic variable
+with the largest bound violation leaves, its pivot row is B_inv[r] times
+[A | I], and Harris's two-pass ratio test on |d_j|/|alpha_rj| picks the
+entering column, the largest |alpha_rj| among the ties; fixed columns never
+enter.  Primal phase 2 then cleans up drift, followed by the same final
+refactor and residual checks as a cold solve.  Both phases pivot through one
+update routine.  A start that does not fit, and a warm solve that ends in
+anything but a verified optimum, fall back to the cold two-phase solve, so a
+start can change time and pivots but never the status.
 """
 
 from __future__ import annotations
@@ -58,6 +75,9 @@ class LPResult:
     objective: float
     x: np.ndarray
     iterations: int
+    # optimal basis, O(n+m) int8: one code per structural column, then one per
+    # LPArrays row for its slack (codes as in _Simplex); None unless OPTIMAL
+    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -100,12 +120,34 @@ class LPArrays:
         return cls(c, A, senses, np.asarray(b, dtype=float), lo, up, model.objective.constant)
 
 
-def solve_lp(model: Model, bound_overrides: dict[int, tuple[float, float]] | None = None) -> LPResult:
-    """Solve the (bilinear-free, continuous) model to LP optimality."""
-    return solve_arrays(LPArrays.from_model(model), bound_overrides)
+def solve_lp(
+    model: Model,
+    bound_overrides: dict[int, tuple[float, float]] | None = None,
+    start: LPResult | None = None,
+) -> LPResult:
+    """Solve the (bilinear-free, continuous) model to LP optimality.
+
+    ``start`` is an earlier result of the same model with rows appended since,
+    as in a cut loop; see ``solve_arrays``.
+    """
+    return solve_arrays(LPArrays.from_model(model), bound_overrides, start)
 
 
-def solve_arrays(arrays: LPArrays, bound_overrides: dict[int, tuple[float, float]] | None = None) -> LPResult:
+def solve_arrays(
+    arrays: LPArrays,
+    bound_overrides: dict[int, tuple[float, float]] | None = None,
+    start: LPResult | None = None,
+) -> LPResult:
+    """Solve the arrays to LP optimality.
+
+    With ``start``, an optimal result over the same columns and a prefix of
+    these rows, the solve re-optimizes from ``start.basis``: rows it has not
+    seen enter with their slack basic, a dual phase restores primal
+    feasibility and primal phase 2 finishes.  A start that does not fit, or a
+    warm solve that ends in anything but a verified optimum, falls back to the
+    cold solve, so ``start`` can change the time and the pivot count but
+    never the status.  Without ``start`` the solve is cold.
+    """
     lo = arrays.lo.copy()
     up = arrays.up.copy()
     if bound_overrides:
@@ -136,10 +178,50 @@ def solve_arrays(arrays: LPArrays, bound_overrides: dict[int, tuple[float, float
     lo[snap] = up[snap]
     if np.any(lo > up):
         return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
-    result = _Simplex(arrays.c, A[keep], [s for s, k in zip(senses, keep) if k], b[keep], lo, up).run()
+    n = A.shape[1]
+    problem = (arrays.c, A[keep], [s for s, k in zip(senses, keep) if k], b[keep], lo, up)
+    result, warm_iterations = None, 0
+    start_codes = _start_codes(start, n, keep)
+    if start_codes is not None:
+        simplex = _Simplex(*problem, start=start_codes)
+        result = simplex.run_warm()
+        warm_iterations = simplex.iterations
+    if result is None:
+        simplex = _Simplex(*problem)
+        result = simplex.run()
+        result.iterations += warm_iterations
     if result.status is LPStatus.OPTIMAL:
         result.objective += arrays.objective_constant
+        result.basis = np.full(n + keep.size, _Simplex.FOLDED, dtype=np.int8)
+        codes = simplex.basis_codes()
+        result.basis[:n] = codes[:n]
+        result.basis[n:][keep] = codes[n:]
     return result
+
+
+def _start_codes(start: LPResult | None, n: int, keep: np.ndarray) -> np.ndarray | None:
+    """The start's codes over the columns and kept rows, or None if it does not fit.
+
+    It fits when it has n columns and at most as many rows, every row it kept
+    is kept again, and it makes as many variables basic as there are kept
+    rows (at least one).  A row it has not seen (or folded) begins with its
+    slack basic.
+    """
+    if start is None or start.basis is None or start.x.size != n or not keep.any():
+        return None
+    seen = start.basis.size - n
+    if seen > keep.size:
+        return None
+    old = start.basis[n:]
+    if np.any(old[~keep[:seen]] != _Simplex.FOLDED):
+        return None  # a row it kept is folded now
+    rows = np.full(keep.size, _Simplex.BASIC, dtype=np.int8)
+    rows[:seen] = np.where(old == _Simplex.FOLDED, _Simplex.BASIC, old)
+    codes = np.concatenate([start.basis[:n], rows[keep]])
+    basic = np.isin(codes, (_Simplex.BASIC, _Simplex.ARTIFICIAL))
+    if np.count_nonzero(basic) != np.count_nonzero(keep):
+        return None
+    return codes
 
 
 class _Restart(Exception):
@@ -148,8 +230,10 @@ class _Restart(Exception):
 
 class _Simplex:
     AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
+    # basis codes only: a row whose artificial is basic, a row folded into a bound
+    ARTIFICIAL, FOLDED = 4, -1
 
-    def __init__(self, c, A, senses, b, lo, up):
+    def __init__(self, c, A, senses, b, lo, up, start=None):
         m, n = A.shape
         self.m, self.n = m, n
         self.n_struct = n
@@ -181,7 +265,10 @@ class _Simplex:
         self.max_iterations = 20000 + 60 * (m + n)
         self._since_refactor = 0
         self._force_bland = False
-        self._cold_start()
+        if start is None:
+            self._cold_start()
+        else:
+            self._install(start)
 
     def _cold_start(self) -> None:
         """(Re)build a starting basis from the current point.
@@ -222,6 +309,42 @@ class _Simplex:
         self.degenerate_pivots = 0
         self.bland = self._force_bland
         self._since_refactor = 0
+
+    def _install(self, codes: np.ndarray) -> None:
+        """Take the basis in codes (columns, then kept rows) in phase-2 form.
+
+        Artificials are fixed at zero; a basic slack or artificial keeps its
+        row's position and the basic structurals fill the other positions in
+        column order.  Nonbasic columns rest at the bound their code names
+        (the nearest finite one if that bound is now infinite).
+        """
+        m, n = self.m, self.n
+        self.up[self.art_start :] = 0.0
+        self.x[self.art_start :] = 0.0
+        self.status[self.art_start :] = self.AT_LOWER
+        # __init__ parked every column at its lower bound (or nearest finite)
+        for j in np.flatnonzero(codes[:n] == self.AT_UPPER):
+            self._park(j, self.up[j])
+        structural = iter(np.flatnonzero(codes[:n] == self.BASIC))
+        self.basis = np.empty(m, dtype=int)
+        for i, code in enumerate(codes[n:]):
+            if code == self.BASIC:
+                self.basis[i] = n + i
+            elif code == self.ARTIFICIAL:
+                self.basis[i] = self.art_start + i
+            else:
+                self.basis[i] = next(structural)
+        self.status[self.basis] = self.BASIC
+        self.degenerate_pivots = 0
+        self.bland = False
+
+    def basis_codes(self) -> np.ndarray:
+        """Status of each column, then of each row's slack (ARTIFICIAL where
+        the row's artificial is basic)."""
+        n, m = self.n, self.m
+        codes = self.status[: n + m].copy()
+        codes[n:][self.status[self.art_start :] == self.BASIC] = self.ARTIFICIAL
+        return codes
 
     # -- helpers --------------------------------------------------------
 
@@ -403,25 +526,96 @@ class _Simplex:
                 continue
             t_leave = float(t_cand[leave])
             self._count_degenerate(t_leave)
-            out_var = int(self.basis[leave])
-            hit_lower = steps[leave] > 0
-            self.x[self.basis] = xB - t_leave * steps
-            self.x[enter] += direction * t_leave
-            self.x[out_var] = self.lo[out_var] if hit_lower else self.up[out_var]
-            self.status[out_var] = self.AT_LOWER if hit_lower else self.AT_UPPER
-            self.status[enter] = self.BASIC
-            self.basis[leave] = enter
-            if abs(pivot) < _PIVOT_TOL:
+            self._pivot(leave, enter, alpha, direction * t_leave, hit_lower=steps[leave] > 0)
+
+    def _dual_phase(self) -> bool:
+        """Bounded dual simplex on the real costs until the basis is primal
+        feasible.
+
+        Leaving: the basic variable with the largest bound violation.  Its
+        pivot row is B_inv[r] [A | I | diag(sigma)].  Entering: Harris's
+        two-pass ratio test on |d_j| / |alpha_rj| over the nonbasic columns
+        whose move drives the leaving variable toward its violated bound;
+        among the ties the largest |alpha_rj| wins, and fixed columns never
+        enter.  Returns False when no column qualifies (the LP is infeasible,
+        or the start was not dual feasible) or after 5*(m+n) pivots.
+        """
+        c = self.c_real
+        movable = self.lo != self.up
+        limit = self.iterations + 5 * (self.m + self.n)
+        while True:
+            self.iterations += 1
+            if self.iterations > limit:
+                return False
+            if self.iterations % _REFACTOR_EVERY == 0:
+                self._refactor()
+            xB = self.x[self.basis]
+            below = self.lo[self.basis] - xB
+            above = xB - self.up[self.basis]
+            leave = int(np.argmax(np.maximum(below, above)))
+            rising = below[leave] > above[leave]
+            if max(below[leave], above[leave]) <= _FEAS_TOL:
+                return True
+            rho = self.B_inv[leave]
+            alpha_r = np.concatenate([rho @ self.A, rho, self.sigma * rho])
+            # moving x_j by +1 moves the leaving variable by -alpha_rj
+            toward = -alpha_r if rising else alpha_r
+            at_lo = self.status == self.AT_LOWER
+            at_up = self.status == self.AT_UPPER
+            free = self.status == self.FREE
+            cand = movable & (
+                (at_lo & (toward > _PIVOT_TOL)) | (at_up & (toward < -_PIVOT_TOL))
+            )
+            cand |= free & (np.abs(alpha_r) > _PIVOT_TOL)
+            if not cand.any():
+                return False
+            d = self._reduced_costs(c, c[self.basis] @ self.B_inv)
+            cols = np.flatnonzero(cand)
+            # |d_j| on the dual feasible side: how far d_j may travel to zero
+            room = np.where(at_up[cols], -d[cols], d[cols])
+            room[free[cols]] = np.abs(room[free[cols]])
+            room = np.maximum(room, 0.0)
+            size = np.abs(alpha_r[cols])
+            theta_max = float(np.min((room + _OPT_TOL) / size))
+            ties = np.flatnonzero(room / size <= theta_max)
+            enter = int(cols[ties[np.argmax(size[ties])]])
+            alpha = self.B_inv @ self._column(enter)
+            pivot = alpha[leave]
+            if abs(pivot) < 1e-7 and self._since_refactor > 0:
                 self._refactor()
                 continue
-            # rank-1 update on the nonzero support: every skipped entry
-            # would subtract an exact zero
-            row = self.B_inv[leave, :] / pivot
-            rows = np.flatnonzero(alpha)
-            cols = np.flatnonzero(row)
-            self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
-            self.B_inv[leave, :] = row
-            self._since_refactor += 1
+            out_var = int(self.basis[leave])
+            target = self.lo[out_var] if rising else self.up[out_var]
+            self._pivot(leave, enter, alpha, (xB[leave] - target) / pivot, hit_lower=rising)
+
+    def _pivot(
+        self, leave: int, enter: int, alpha: np.ndarray, step: float, hit_lower: bool
+    ) -> None:
+        """Move `enter` by step into basis position `leave`.
+
+        The basic variables move by -step * alpha, the leaving one rests at
+        the bound it hit, and the inverse gets its rank-1 update on the
+        nonzero support (a refactor when the pivot is tiny).
+        """
+        out_var = int(self.basis[leave])
+        self.x[self.basis] -= step * alpha
+        self.x[enter] += step
+        self.x[out_var] = self.lo[out_var] if hit_lower else self.up[out_var]
+        self.status[out_var] = self.AT_LOWER if hit_lower else self.AT_UPPER
+        self.status[enter] = self.BASIC
+        self.basis[leave] = enter
+        pivot = alpha[leave]
+        if abs(pivot) < _PIVOT_TOL:
+            self._refactor()
+            return
+        # rank-1 update on the nonzero support: every skipped entry would
+        # subtract an exact zero
+        row = self.B_inv[leave, :] / pivot
+        rows = np.flatnonzero(alpha)
+        cols = np.flatnonzero(row)
+        self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
+        self.B_inv[leave, :] = row
+        self._since_refactor += 1
 
     def _reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d = c - y [A | I | diag(sigma)], without forming the m x N matrix."""
@@ -466,6 +660,22 @@ class _Simplex:
                 LPStatus.INFEASIBLE, math.inf, self.x[: self.n_struct].copy(), self.iterations
             )
         self.up[self.art_start :] = 0.0
+        return self._phase_two()
+
+    def run_warm(self) -> LPResult | None:
+        """Factor the installed basis, restore primal feasibility with the
+        dual phase, then finish with primal phase 2.  None unless that ends in
+        a verified optimum; the caller then solves cold."""
+        try:
+            self._refactor()
+            if not self._dual_phase():
+                return None
+            result = self._phase_two()
+        except (_Restart, NumericalFailure):
+            return None
+        return result if result.status is LPStatus.OPTIMAL else None
+
+    def _phase_two(self) -> LPResult:
         self.degenerate_pivots = 0
         self.bland = self._force_bland
         status = self._phase(self.c_real)
@@ -507,4 +717,5 @@ class _Simplex:
                 x[j] = self.lo[j] if math.isfinite(self.lo[j]) else (
                     self.up[j] if math.isfinite(self.up[j]) else 0.0
                 )
+            self._park(j, x[j])  # so that basis_codes reports where x[j] rests
         return LPResult(LPStatus.OPTIMAL, float(c @ x), x, 0)

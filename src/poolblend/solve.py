@@ -219,6 +219,8 @@ class SolveReport:
                 "nodes": self.nodes,
                 "cuts": self.cuts,
                 "wall_seconds": round(self.wall_seconds, 6),
+                "heuristic_seconds": round(self.heuristic_seconds, 6),
+                "root_cut_seconds": round(self.root_cut_seconds, 6),
             }
         )
 
@@ -246,7 +248,7 @@ def _cut_loop(rm: RelaxedModel, cb, options: SolveOptions, rounds: int) -> tuple
         if added == 0:
             break
         added_total += added
-        res = solve_lp(rm.lp)
+        res = solve_lp(rm.lp, start=res)
     return res, added_total
 
 

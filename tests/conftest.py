@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import poolblend.simplex as simplex
 from poolblend import build_pq, generate_instance, GenSpec
 from poolblend.instances import adhya4_fragment, haverly
 
@@ -37,3 +38,17 @@ def fragment():
 @pytest.fixture(scope="session")
 def tiny_nets():
     return [(spec, generate_instance(spec)) for spec in TINY_SPECS]
+
+
+@pytest.fixture
+def warm_outcomes(monkeypatch):
+    """What each warm-start attempt returned, in order (None: fell back to cold)."""
+    outcomes = []
+    run_warm = simplex._Simplex.run_warm
+
+    def recording_run_warm(self):
+        outcomes.append(run_warm(self))
+        return outcomes[-1]
+
+    monkeypatch.setattr(simplex._Simplex, "run_warm", recording_run_warm)
+    return outcomes

@@ -35,7 +35,10 @@ def test_solve_with_json_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status=" in out
     doc = json.loads(report.read_text())
-    assert set(doc) == {"status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds"}
+    assert set(doc) == {
+        "status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds",
+        "heuristic_seconds", "root_cut_seconds",
+    }
 
 
 def test_heuristic_command(tmp_path, capsys):

@@ -319,3 +319,64 @@ def test_singleton_row_crossing_by_an_ulp_snaps_to_a_point():
     # a real crossing stays infeasible
     wide = LPArrays(arrays.c, row, ["=", ">"], np.array([0.0707, 0.5]), lo, up)
     assert solve_arrays(wide).status is LPStatus.INFEASIBLE
+
+
+def test_random_appended_rows_warm_match_highs(warm_outcomes):
+    rng = np.random.default_rng(7)
+    senses = [Sense.LE, Sense.GE, Sense.EQ]
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(2, 8))
+        model = _random_lp(rng, n, int(rng.integers(1, 7)))
+        first = solve_lp(model)
+        if first.status is not LPStatus.OPTIMAL:
+            continue
+        # rows in the style of _random_lp, anchored at the current optimum so
+        # that most stay feasible and some cut it off
+        for r in range(int(rng.integers(1, 4))):
+            coeffs = rng.normal(size=n)
+            coeffs[rng.random(size=n) < 0.4] = 0.0
+            rhs = float(coeffs @ first.x) + float(rng.normal() * 0.5)
+            expr = LinearExpr({k: float(c) for k, c in enumerate(coeffs) if c})
+            model.add_constraint(f"extra{r}", expr, senses[int(rng.integers(3))], rhs)
+        warm = solve_lp(model, start=first)
+        ref = _scipy_solve(model)
+        if ref.status == 2:
+            assert warm.status is LPStatus.INFEASIBLE, f"trial {trial}"
+        elif ref.status == 0:
+            assert warm.status is LPStatus.OPTIMAL, f"trial {trial}"
+            assert warm.objective == pytest.approx(ref.fun, abs=1e-7), f"trial {trial}"
+            checked += 1
+    assert checked >= 20
+    # most re-solves stay on the warm path; infeasible ones fall back to cold
+    assert sum(r is not None for r in warm_outcomes) >= 20
+
+
+def test_infeasible_appended_row_matches_cold(warm_outcomes):
+    m = Model("t")
+    x = m.add_variable("x", 0.0, 3.0)
+    y = m.add_variable("y", 0.0, 3.0)
+    m.add_constraint("cap", LinearExpr({x.id: 1.0, y.id: 1.0}), Sense.LE, 5.0)
+    m.objective = LinearExpr({x.id: -1.0, y.id: -2.0})
+    first = solve_lp(m)
+    assert first.status is LPStatus.OPTIMAL
+    m.add_constraint("cut", LinearExpr({x.id: 1.0, y.id: 1.0}), Sense.GE, 7.0)
+    warm = solve_lp(m, start=first)
+    assert warm.status is solve_lp(m).status is LPStatus.INFEASIBLE
+    assert warm_outcomes == [None]  # the dual phase finds no entering column
+
+
+def test_start_that_does_not_fit_solves_cold(h1):
+    lp = relax(build_pq(h1).model).lp
+    other = Model("other")
+    z = other.add_variable("z", 0.0, 1.0)
+    other.add_constraint("r", LinearExpr({z.id: 1.0}), Sense.LE, 0.5)
+    start = solve_lp(other)
+    assert start.basis.tolist() == [simplex._Simplex.AT_LOWER, simplex._Simplex.FOLDED]
+    cold = solve_lp(lp)
+    warm = solve_lp(lp, start=start)
+    assert warm.status is cold.status
+    assert warm.objective == cold.objective
+    assert warm.x.tobytes() == cold.x.tobytes()
+    assert warm.iterations == cold.iterations
+    assert np.array_equal(warm.basis, cold.basis)

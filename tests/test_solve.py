@@ -8,12 +8,14 @@ from poolblend import (
     BilinearTerm,
     Domain,
     GapSpec,
+    GenSpec,
     LinearExpr,
     Model,
     Sense,
     SolveOptions,
     branch_and_cut,
     build_pq,
+    generate_instance,
     initial_primal_search,
     relative_gap,
     relax,
@@ -156,10 +158,36 @@ def test_root_bound_dominance(h1_pq, tiny_nets):
         assert res.objective >= plain.objective - 1e-7, name
 
 
+def test_warm_cut_rounds_match_cold_solves(warm_outcomes, h1_pq, tiny_nets):
+    desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
+    nets = [("h1", h1_pq)] + [
+        (spec.instance_name(), build_pq(net)) for spec, net in tiny_nets
+    ] + [(spec.instance_name(), build_pq(generate_instance(spec))) for spec in desk]
+    rounds = 0
+    for name, pq in nets:
+        rm = relax(pq.model)
+        cb = add_all_pooling_inequalities(rm, pq)
+        res = solve_lp(rm.lp)
+        for _ in range(20):
+            if res.status is not LPStatus.OPTIMAL or add_valid_cuts(cb, rm, res.x) == 0:
+                break
+            attempts = len(warm_outcomes)
+            res = solve_lp(rm.lp, start=res)
+            assert len(warm_outcomes) == attempts + 1 and warm_outcomes[-1] is not None, name
+            cold = solve_lp(rm.lp)
+            assert res.status is cold.status is LPStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(cold.objective, rel=1e-9), name
+            rounds += 1
+    assert rounds >= 20
+
+
 def test_report_json_shape(h1_pq):
     report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions())
     doc = json.loads(report.to_json())
-    assert set(doc) == {"status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds"}
+    assert set(doc) == {
+        "status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds",
+        "heuristic_seconds", "root_cut_seconds",
+    }
     assert doc["status"] == "optimal"
 
 

@@ -5,6 +5,14 @@ relaxation with pooling cuts.
 Everything is deterministic: node selection is best-bound with sequence
 numbers as tie-breaks, branching picks the variable with the worst envelope
 residual (ties on the lowest id), and the LP core is the in-package simplex.
+
+The restriction MIP solves its root LP cold and every child from its
+parent's optimal basis (``solve_arrays(..., start=parent)``), since a child
+differs from its parent in one binary bound.  Until the first incumbent
+exists, each node that branches also solves a fix-and-solve rounding LP with
+every binary at its rounded value.  A node or time limit leaves unexplored
+nodes open, so a limit never turns into ``optimal`` or ``infeasible``.
+Spatial branch & cut warm-starts only its cut rounds.
 """
 
 from __future__ import annotations
@@ -82,7 +90,17 @@ class MIPResult:
 
 
 def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
-    """Best-first branch & bound on the model's binary variables."""
+    """Best-first branch & bound on the model's binary variables.
+
+    The root LP is solved cold; every child re-optimizes from its parent's
+    optimal basis, which differs from it in one binary bound.  Until the
+    first incumbent exists, each node about to branch also solves one LP with
+    every binary fixed at its rounded value, warm from the node's result;
+    that LP is a heuristic and not a node, so ``nodes`` and
+    ``gap.node_limit`` do not count it.  A node or time limit never drops a
+    node: the unexplored ones stay open, the status is ``feasible`` or
+    ``no_feasible_found`` and ``lower_bound`` is the least open bound.
+    """
     gap = gap or GapSpec()
     start = time.monotonic()
     arrays = LPArrays.from_model(model, relax_binaries=True)
@@ -93,20 +111,32 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
     lower = -math.inf
     nodes = 0
     counter = 0
-    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = [(-math.inf, counter, {})]
+    # (bound, sequence number, overrides, the parent's LP result to start from)
+    heap: list[tuple[float, int, dict[int, tuple[float, float]], LPResult | None]] = [
+        (-math.inf, counter, {}, None)
+    ]
 
-    status = "no_feasible_found"
+    def closed() -> bool:
+        return lower >= upper - gap.abs_tol or relative_gap(lower, upper) <= gap.rel_tol
+
+    def accept(res: LPResult) -> None:
+        nonlocal upper, incumbent
+        upper = res.objective
+        incumbent = {v.id: float(res.x[v.id]) for v in model.variables}
+        for b in binaries:
+            incumbent[b] = float(round(incumbent[b]))
+
     while heap:
-        bound, _, overrides = heapq.heappop(heap)
-        lower = max(lower, bound)
-        if lower >= upper - gap.abs_tol or relative_gap(lower, upper) <= gap.rel_tol:
+        lower = max(lower, heap[0][0])
+        if closed():
             lower = min(lower, upper)
             break
         if gap.time_limit is not None and time.monotonic() - start > gap.time_limit:
             break
         if gap.node_limit is not None and nodes >= gap.node_limit:
             break
-        res = solve_arrays(arrays, overrides)
+        bound, _, overrides, parent = heapq.heappop(heap)
+        res = solve_arrays(arrays, overrides, start=parent)
         nodes += 1
         if res.status is not LPStatus.OPTIMAL:
             continue
@@ -120,28 +150,28 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
                 frac_amount = min(res.x[b], 1.0 - res.x[b])
                 frac_var = b
         if frac_var < 0:
-            value = res.objective
-            if value < upper - gap.abs_tol:
-                upper = value
-                incumbent = {v.id: float(res.x[v.id]) for v in model.variables}
-                for b in binaries:
-                    incumbent[b] = float(round(incumbent[b]))
+            accept(res)
             continue
+        if incumbent is None:
+            rounded = {b: (float(round(res.x[b])),) * 2 for b in binaries}
+            fixed = solve_arrays(arrays, rounded, start=res)
+            if fixed.status is LPStatus.OPTIMAL:
+                accept(fixed)
+                if node_bound >= upper - gap.abs_tol:
+                    continue
         for child_bounds in ((0.0, 0.0), (1.0, 1.0)):
             counter += 1
             child = dict(overrides)
             child[frac_var] = child_bounds
-            heapq.heappush(heap, (node_bound, counter, child))
+            heapq.heappush(heap, (node_bound, counter, child, res))
 
     if incumbent is None:
-        status = "infeasible" if not heap else "no_feasible_found"
-        return MIPResult(status, math.inf, None, lower if heap else math.inf, nodes)
-    if not heap or lower >= upper - gap.abs_tol or relative_gap(lower, upper) <= gap.rel_tol:
         if not heap:
-            lower = upper
-        status = "optimal"
-    else:
-        status = "feasible"
+            return MIPResult("infeasible", math.inf, None, math.inf, nodes)
+        return MIPResult("no_feasible_found", math.inf, None, lower, nodes)
+    if not heap:
+        lower = upper
+    status = "optimal" if not heap or closed() else "feasible"
     return MIPResult(status, upper, incumbent, lower, nodes)
 
 

@@ -14,17 +14,27 @@ from poolblend import (
     Sense,
     SolveOptions,
     branch_and_cut,
+    RestrictionSpec,
     build_pq,
+    derive_fractional_flows,
     generate_instance,
     initial_primal_search,
+    install_restriction,
     relative_gap,
     relax,
     solve_lp,
     solve_mip,
+    uninstall_restriction,
 )
+import poolblend.simplex as simplex
+import poolblend.solve as solve_module
 from poolblend.cuts import add_all_pooling_inequalities, add_valid_cuts
 from poolblend.errors import NonLinearSideConstraints
 from poolblend.simplex import LPStatus
+
+DESK_SPARSE_S1 = GenSpec("sparse_haverly", 8, 3, 5, 2, 22, 1)
+# the optimum of the tau=2 restriction of DESK_SPARSE_S1
+DESK_S1_TAU2_OPTIMUM = -2014.3089442180542
 
 
 def test_relative_gap_examples():
@@ -72,6 +82,81 @@ def test_mip_integral_root_stops_immediately():
     result = solve_mip(m, GapSpec(rel_tol=0.01, abs_tol=1e-8))
     assert result.status == "optimal"
     assert result.nodes == 1
+
+
+def test_mip_limit_keeps_unexplored_nodes_open():
+    # with no node explored, the root stays open and its bound is -inf
+    pq = build_pq(generate_instance(DESK_SPARSE_S1))
+    rm = install_restriction(pq, RestrictionSpec(tau=2))
+    try:
+        result = solve_mip(pq.model, GapSpec(node_limit=0))
+    finally:
+        uninstall_restriction(rm)
+    assert (result.status, result.incumbent, result.nodes) == ("no_feasible_found", None, 0)
+    assert result.lower_bound == -math.inf
+
+    # max 9a + 8b + 9c s.t. 4a + 2b + 5c <= 10: the root LP is a = b = 1,
+    # c = 0.8, which rounds to an infeasible point; child c = 0 gives a = b = 1
+    # (17), and child c = 1, which holds the optimum a = c = 1 (18), is open
+    m = Model("knapsack")
+    z = [m.add_variable(f"z{i}", 0.0, 1.0, Domain.BINARY) for i in range(3)]
+    m.add_constraint(
+        "cap", LinearExpr({z[0].id: 4.0, z[1].id: 2.0, z[2].id: 5.0}), Sense.LE, 10.0
+    )
+    m.objective = LinearExpr({z[0].id: -9.0, z[1].id: -8.0, z[2].id: -9.0})
+    result = solve_mip(m, GapSpec(node_limit=2))
+    assert (result.status, result.objective, result.nodes) == ("feasible", -17.0, 2)
+    assert result.lower_bound == pytest.approx(-24.2)
+    assert solve_mip(m).objective == pytest.approx(-18.0)
+
+
+def test_rounding_finds_restriction_incumbent():
+    pq = build_pq(generate_instance(DESK_SPARSE_S1))
+    rm = install_restriction(pq, RestrictionSpec(tau=2))
+    try:
+        result = solve_mip(pq.model, GapSpec(rel_tol=0.01, node_limit=20))
+        assert result.incumbent is not None
+        binaries = [v.id for v in pq.model.variables if v.domain is Domain.BINARY]
+        assert binaries and all(result.incumbent[b] in (0.0, 1.0) for b in binaries)
+        assert pq.model.is_feasible(result.incumbent, 1e-6)
+        assert pq.model.objective_value(result.incumbent) == pytest.approx(result.objective)
+        assert result.objective >= DESK_S1_TAU2_OPTIMUM - 1e-6
+        restored = derive_fractional_flows(rm, result.incumbent)
+    finally:
+        uninstall_restriction(rm)
+    assert pq.model.is_feasible(restored.values, 1e-6)
+
+
+def test_warm_mip_nodes_match_cold_solves(warm_outcomes, monkeypatch, h1_pq, tiny_nets):
+    checked = {"warm": 0, "infeasible": 0}
+
+    def solve_warm_and_cold(arrays, overrides=None, start=None):
+        attempts = len(warm_outcomes)
+        res = simplex.solve_arrays(arrays, overrides, start=start)
+        if start is not None:
+            cold = simplex.solve_arrays(arrays, overrides)
+            assert res.status is cold.status
+            if cold.status is LPStatus.OPTIMAL:
+                assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+                assert len(warm_outcomes) == attempts + 1 and warm_outcomes[-1] is not None
+                checked["warm"] += 1
+            else:
+                checked["infeasible"] += 1
+        return res
+
+    monkeypatch.setattr(solve_module, "solve_arrays", solve_warm_and_cold)
+    desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
+    pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
+        build_pq(generate_instance(spec)) for spec in desk
+    ]
+    for pq in pqs:
+        for tau in (1, 2):
+            rm = install_restriction(pq, RestrictionSpec(tau=tau))
+            try:
+                solve_mip(pq.model, GapSpec(rel_tol=0.01, node_limit=20))
+            finally:
+                uninstall_restriction(rm)
+    assert checked["warm"] >= 100 and checked["infeasible"] >= 1
 
 
 def test_initial_primal_search_h1(h1_pq):

@@ -37,19 +37,17 @@ class Sense(Enum):
     GE = ">="
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
+    """A column and its box.  ``Model.add_variable`` and ``Model.set_bounds``
+    check the box; the constructor does not, so a clone can copy a box that
+    bound tightening left empty."""
+
     id: int
     name: str
     lower: float
     upper: float
     domain: Domain = Domain.CONTINUOUS
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"variable {self.name!r}: lower {self.lower} > upper {self.upper}")
-        if self.domain is Domain.BINARY and not (self.lower >= 0.0 and self.upper <= 1.0):
-            raise ValueError(f"binary variable {self.name!r} must have bounds within [0, 1]")
 
 
 class LinearExpr:
@@ -67,7 +65,10 @@ class LinearExpr:
     def add_term(self, var_id: int, coeff: float) -> "LinearExpr":
         if coeff == 0.0:
             return self
-        new = self.terms.get(var_id, 0.0) + coeff
+        old = self.terms.get(var_id)
+        # float() returns a float coefficient itself; 0.0 + coeff would
+        # allocate a new float for every term
+        new = float(coeff) if old is None else old + coeff
         if new == 0.0:
             self.terms.pop(var_id, None)
         else:
@@ -109,7 +110,7 @@ class BilinearTerm:
         return self.coefficient * _point_value(point, self.var_a) * _point_value(point, self.var_b)
 
 
-@dataclass
+@dataclass(slots=True)
 class Constraint:
     name: str
     linear: LinearExpr
@@ -161,6 +162,10 @@ class Model:
         upper: float = math.inf,
         domain: Domain = Domain.CONTINUOUS,
     ) -> Variable:
+        if lower > upper:
+            raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
+        if domain is Domain.BINARY and not (lower >= 0.0 and upper <= 1.0):
+            raise ValueError(f"binary variable {name!r} must have bounds within [0, 1]")
         var = Variable(id=len(self.variables), name=name, lower=lower, upper=upper, domain=domain)
         self.variables.append(var)
         return var

@@ -12,7 +12,14 @@ differs from its parent in one binary bound.  Until the first incumbent
 exists, each node that branches also solves a fix-and-solve rounding LP with
 every binary at its rounded value.  A node or time limit leaves unexplored
 nodes open, so a limit never turns into ``optimal`` or ``infeasible``.
-Spatial branch & cut warm-starts only its cut rounds.
+
+Spatial branch & cut solves its root LP cold.  Each child node starts from
+the LP result its parent ended with, after the parent's cut rounds, and
+each cut round from the round before.  The gradient cuts are globally
+valid, so every node's new cuts are appended to the root relaxation, which
+each node clones: nodes run one at a time, so a parent's last LP is a row
+prefix of its child's LP and the start fits.  A node discarded without a
+proof keeps its bound in the reported lower bound.
 """
 
 from __future__ import annotations
@@ -220,6 +227,9 @@ class BnBNode:
     depth: int
     bound: float
     overrides: dict[int, tuple[float, float]]
+    # the LP result the parent ended with, after its cut rounds; siblings
+    # share it, and the node's first LP starts from it
+    start: LPResult | None = None
     state: str = "open"  # open | fathomed | branched
 
 
@@ -266,8 +276,10 @@ def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], 
     return None
 
 
-def _cut_loop(rm: RelaxedModel, cb, options: SolveOptions, rounds: int) -> tuple[LPResult, int]:
-    res = solve_lp(rm.lp)
+def _cut_loop(
+    rm: RelaxedModel, cb, options: SolveOptions, rounds: int, start: LPResult | None = None
+) -> tuple[LPResult, int]:
+    res = solve_lp(rm.lp, start=start)
     added_total = 0
     if cb is None:
         return res, 0
@@ -313,7 +325,17 @@ def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, 
 def branch_and_cut(
     pq: PQModel, gap: GapSpec | None = None, options: SolveOptions | None = None
 ) -> SolveReport:
-    """Spatial branch & cut to global optimality of the pooling model."""
+    """Spatial branch & cut to global optimality of the pooling model.
+
+    Best-first over node boxes.  Each node clones the root relaxation (its
+    cuts included), tightens it to the node box and re-optimizes from its
+    parent's last LP result; nodes up to ``options.in_tree_cut_depth`` run
+    cut rounds and add their new cuts to the root relaxation.  A node is
+    discarded without a proof when its point is envelope-tight or it has
+    nothing left to split; its bound then stays in ``lower``, and the
+    status is ``feasible`` (``unknown`` without an incumbent) unless that
+    bound meets the incumbent within the gap.
+    """
     gap = gap or GapSpec()
     options = options or SolveOptions()
     start = time.monotonic()
@@ -372,15 +394,22 @@ def branch_and_cut(
     counter = 0
     heap: list[tuple[float, int, BnBNode]] = []
     root_node = BnBNode(id=0, depth=0, overrides={}, bound=lower)
-    root_point = root.x
+    # least bound of a node discarded without a proof: an envelope-tight node
+    # (its projection may be rejected) or one with nothing left to split
+    dropped = math.inf
     if options.node_hook is not None:
         options.node_hook(root_node, root)
 
-    def push_children(node: BnBNode, point, node_bound):
-        nonlocal counter
-        picked = _branch_variable(rm, point, node.overrides, rm.lp)
+    def closed(bound: float) -> bool:
+        return relative_gap(bound, upper) <= gap.rel_tol or upper - bound <= gap.abs_tol
+
+    def push_children(node: BnBNode, res: LPResult, node_bound: float) -> None:
+        nonlocal counter, dropped
+        picked = _branch_variable(rm, res.x, node.overrides, rm.lp)
         if picked is None:
-            return False
+            node.state = "fathomed"
+            dropped = min(dropped, node_bound)
+            return
         var_id, xhat = picked
         lo, up = node.overrides.get(
             var_id, (rm.lp.variables[var_id].lower, rm.lp.variables[var_id].upper)
@@ -392,34 +421,35 @@ def branch_and_cut(
                 depth=node.depth + 1,
                 bound=node_bound,
                 overrides={**node.overrides, var_id: (child_lo, child_up)},
+                start=res,
             )
             heapq.heappush(heap, (child.bound, child.id, child))
-        return True
+        node.state = "branched"
 
-    mc_res, _ = rm.mccormick_residual(root_point)
+    mc_res, _ = rm.mccormick_residual(root.x)
     if mc_res > _MC_FEAS_TOL:
-        if push_children(root_node, root_point, lower):
-            root_node.state = "branched"
+        push_children(root_node, root, lower)
     elif incumbent_values is None or upper > lower + gap.abs_tol:
         # envelope-tight root point: accept it if genuinely feasible
-        found = _try_incumbent(pq, root_point, upper)
+        found = _try_incumbent(pq, root.x, upper)
         if found is not None:
             incumbent_values, upper = found
             root_node.state = "fathomed"
-        elif push_children(root_node, root_point, lower):
-            root_node.state = "branched"
+            dropped = lower
+        else:
+            push_children(root_node, root, lower)
 
     status = "unknown"
     while heap:
-        if relative_gap(lower, upper) <= gap.rel_tol or upper - lower <= gap.abs_tol:
+        if closed(min(lower, dropped)):
             status = "optimal"
             break
         if gap.time_limit is not None and time.monotonic() - start > gap.time_limit:
             status = "feasible" if incumbent_values is not None else "unknown"
-            return report(status, lower, nodes_visited)
+            return report(status, min(lower, dropped), nodes_visited)
         if gap.node_limit is not None and nodes_visited >= gap.node_limit:
             status = "feasible" if incumbent_values is not None else "unknown"
-            return report(status, lower, nodes_visited)
+            return report(status, min(lower, dropped), nodes_visited)
         bound, _, node = heapq.heappop(heap)
         lower = max(lower, min(bound, upper))
         if bound >= upper - gap.abs_tol:
@@ -432,10 +462,19 @@ def branch_and_cut(
         refresh_bounds(rm_node, node.overrides)
         nodes_visited += 1
         if options.use_pooling_cuts and node.depth <= options.in_tree_cut_depth:
-            res, added = _cut_loop(rm_node, cb, options, options.max_cut_rounds)
+            res, added = _cut_loop(rm_node, cb, options, options.max_cut_rounds, node.start)
             cuts_added += added
+            # the cuts are globally valid: pool them in the root relaxation,
+            # in order, so every later clone carries them and this node's
+            # last LP stays a row prefix of its children's LPs
+            for name in rm_node.cut_rows[len(rm.cut_rows) :]:
+                con = rm_node.lp.constraints[name]
+                rm.lp.add_constraint(name, con.linear, con.sense, con.rhs)
+                rm.cut_rows.append(name)
+                cb.cut_pool.append(name)
+            rm.cut_hashes |= rm_node.cut_hashes
         else:
-            res = solve_lp(rm_node.lp)
+            res = solve_lp(rm_node.lp, start=node.start)
         if options.node_hook is not None:
             options.node_hook(node, res)
         if res.status is not LPStatus.OPTIMAL:
@@ -451,12 +490,19 @@ def branch_and_cut(
             if found is not None:
                 incumbent_values, upper = found
         if mc_res <= _MC_FEAS_TOL:
+            # the relaxation is exact here, but the node is a proof only if
+            # the incumbent meets its bound
             node.state = "fathomed"
-            continue  # relaxation is exact here; the node is fully explored
-        node.state = "branched" if push_children(node, res.x, node_bound) else "fathomed"
+            dropped = min(dropped, node_bound)
+            continue
+        push_children(node, res, node_bound)
 
     if not heap and status == "unknown":
         # tree exhausted: everything fathomed against the incumbent
         status = "optimal" if incumbent_values is not None else "infeasible"
         lower = upper if incumbent_values is not None else math.inf
+    if dropped < lower:
+        lower = dropped
+        if not closed(lower):
+            status = "feasible" if incumbent_values is not None else "unknown"
     return report(status, lower, nodes_visited)

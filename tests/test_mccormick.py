@@ -181,6 +181,17 @@ def test_refresh_empty_defined_box_is_infeasible():
     assert solve_lp(rm.lp).status is LPStatus.INFEASIBLE
 
 
+def test_clone_of_an_emptied_box_is_infeasible():
+    m, x, y, v = defined_product_model((3.0, 10.0))
+    rm = relax(m)
+    refresh_bounds(rm, {x.id: (0.0, 1.0), y.id: (1.0, 2.0)})
+    # the clone copies v's empty box [3, 2] instead of raising on it
+    clone = rm.clone()
+    aux = clone.lp.variables[v.id]
+    assert (aux.lower, aux.upper) == (3.0, 2.0)
+    assert solve_lp(clone.lp).status is LPStatus.INFEASIBLE
+
+
 def test_inactive_rows_are_dropped():
     m = product_model(0.0, 1.0, 0.0, 1.0)
     m.deactivate("prod")

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolblend import BilinearTerm, Domain, LinearExpr, Model, Sense
+from poolblend import BilinearTerm, Domain, LinearExpr, Model, Sense, relax
+from poolblend.cuts import add_all_pooling_inequalities
 from poolblend.errors import MissingVariableValue, UnknownConstraint
 
 
@@ -85,6 +88,11 @@ def test_binary_domain_validation():
     m.add_variable("b", 0.0, 1.0, Domain.BINARY)
 
 
+def test_add_variable_rejects_an_empty_box():
+    with pytest.raises(ValueError):
+        Model("t").add_variable("x", 2.0, 1.0)
+
+
 def test_linear_expr_drops_zeros():
     e = LinearExpr({0: 1.0})
     e.add_term(0, -1.0)
@@ -97,6 +105,27 @@ def test_duplicate_constraint_name_rejected():
     m = two_var_model()
     with pytest.raises(ValueError):
         m.add_constraint("sum_le", LinearExpr(), Sense.LE, 0.0)
+
+
+def test_slotted_records_keep_their_values(h1_pq):
+    terms = LinearExpr({0: 1, 1: np.float64(-2.5)}).terms
+    assert terms == {0: 1.0, 1: -2.5}
+    assert all(type(coeff) is float for coeff in terms.values())
+    m = two_var_model()
+    for record in (m.variables[0], m.constraints["sum_le"]):
+        assert "__slots__" in type(record).__dict__
+        with pytest.raises(AttributeError):
+            record.note = "no such field"
+    # the h1 model and its relaxation with pooling inequalities, as dumped
+    # before Variable and Constraint took slots
+    rm = relax(h1_pq.model)
+    add_all_pooling_inequalities(rm, h1_pq)
+    for model, digest in (
+        (h1_pq.model, "5df6ce3fb003ffb1bd6758a0cfda797ba679b7e656820d5b2bee285c1841b12e"),
+        (rm.lp, "191b41b8f329574f7050e445fc95c7b229276354e9a4bb8ad1ab90a0a70480e7"),
+    ):
+        assert hashlib.sha256(model.dump().encode()).hexdigest() == digest
+        assert model.clone().dump() == model.dump()
 
 
 def test_dump_format():

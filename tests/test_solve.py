@@ -30,6 +30,7 @@ import poolblend.simplex as simplex
 import poolblend.solve as solve_module
 from poolblend.cuts import add_all_pooling_inequalities, add_valid_cuts
 from poolblend.errors import NonLinearSideConstraints
+from poolblend.restriction import RestoredSolution
 from poolblend.simplex import LPStatus
 
 DESK_SPARSE_S1 = GenSpec("sparse_haverly", 8, 3, 5, 2, 22, 1)
@@ -264,6 +265,86 @@ def test_warm_cut_rounds_match_cold_solves(warm_outcomes, h1_pq, tiny_nets):
             assert res.objective == pytest.approx(cold.objective, rel=1e-9), name
             rounds += 1
     assert rounds >= 20
+
+
+def test_warm_bnb_nodes_match_cold_solves(warm_outcomes, monkeypatch, h1_pq, tiny_nets):
+    checked = {"warm": 0, "children": 0, "infeasible": 0}
+    rows = {}  # model -> [the rows of its first LP, the rows of its last LP]
+
+    def solve_warm_and_cold(model, overrides=None, start=None):
+        names = [name for name, con in model.constraints.items() if con.active]
+        first_last = rows.setdefault(model, [names, names])
+        first_last[1] = names
+        attempts = len(warm_outcomes)
+        res = simplex.solve_lp(model, overrides, start=start)
+        if start is not None:
+            cold = simplex.solve_lp(model, overrides)
+            assert res.status is cold.status
+            if cold.status is LPStatus.OPTIMAL:
+                assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+                assert len(warm_outcomes) == attempts + 1 and warm_outcomes[-1] is not None
+                checked["warm"] += 1
+                checked["children"] += first_last[0] is names
+            else:
+                checked["infeasible"] += 1
+        return res
+
+    monkeypatch.setattr(solve_module, "solve_lp", solve_warm_and_cold)
+    desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
+    pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
+        build_pq(generate_instance(spec)) for spec in desk
+    ]
+    pooled = 0
+    for pq in pqs:
+        rows.clear()
+        options = SolveOptions(use_primal_heuristic=False)
+        branch_and_cut(pq, GapSpec(rel_tol=1e-4, node_limit=10), options)
+        # the first model is the root relaxation; each later one is a node
+        nodes = list(rows.values())[1:]
+        for k, (first, last) in enumerate(nodes):
+            found = set(last) - set(first)
+            pooled += bool(found) and any(found <= set(later) for later, _ in nodes[k + 1 :])
+    assert checked["children"] >= 40 and checked["infeasible"] >= 1
+    # a cut found at one node is in the first LP of a later node
+    assert pooled >= 1
+
+
+def zero_flow_incumbent(monkeypatch, pq):
+    """Start h1 from the zero-flow point (objective 0) and reject every
+    projection, so every node bound below -400 stays below the incumbent."""
+    values = {vid: 0.0 for vid in range(len(pq.model.variables))}
+    values[pq.q[("i1", "l1")]] = 0.5
+    values[pq.q[("i2", "l1")]] = 0.5
+    solution = RestoredSolution(values, 0.0)
+    monkeypatch.setattr(solve_module, "initial_primal_search", lambda pq: solution)
+    monkeypatch.setattr(solve_module, "_try_incumbent", lambda pq, point, upper: None)
+
+
+def test_envelope_tight_node_with_rejected_projection_keeps_its_bound(monkeypatch, h1_pq):
+    zero_flow_incumbent(monkeypatch, h1_pq)
+    # every node reads as envelope-tight: the root branches, since it has no
+    # incumbent at its bound, and both children (-400 and -100) are dropped
+    monkeypatch.setattr(solve_module, "_MC_FEAS_TOL", math.inf)
+    report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions(use_pooling_cuts=False))
+    assert (report.status, report.upper, report.nodes) == ("feasible", 0.0, 2)
+    assert report.lower == pytest.approx(-400.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("splits, lower, nodes", [(0, -500.0, 0), (1, -400.0, 2)])
+def test_node_with_nothing_to_split_keeps_its_bound(monkeypatch, h1_pq, splits, lower, nodes):
+    zero_flow_incumbent(monkeypatch, h1_pq)
+    # the root (splits=0) or both its children (splits=1) find no variable
+    branch_variable = solve_module._branch_variable
+    calls = []
+
+    def split_first(*args):
+        calls.append(args)
+        return branch_variable(*args) if len(calls) <= splits else None
+
+    monkeypatch.setattr(solve_module, "_branch_variable", split_first)
+    report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions(use_pooling_cuts=False))
+    assert (report.status, report.upper, report.nodes) == ("feasible", 0.0, nodes)
+    assert report.lower == pytest.approx(lower, abs=1e-6)
 
 
 def test_report_json_shape(h1_pq):

@@ -15,8 +15,7 @@ from .generate import FAMILIES, GenSpec, generate_instance
 from .mccormick import relax
 from .network import Network
 from .pq import build_pq
-from .restriction import RestrictionSpec, derive_fractional_flows, install_restriction, uninstall_restriction
-from .solve import GapSpec, branch_and_cut, solve_mip
+from .solve import GapSpec, branch_and_cut, initial_primal_search
 from .cuts import add_all_pooling_inequalities, add_valid_cuts
 from .simplex import LPStatus, solve_lp
 
@@ -98,16 +97,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     net = _load(args.instance)
-    pq = build_pq(net)
-    rm = install_restriction(pq, RestrictionSpec(tau=args.tau))
-    try:
-        result = solve_mip(pq.model, GapSpec(rel_tol=0.01, abs_tol=1e-8, time_limit=60.0))
-        if result.incumbent is None:
-            print("no feasible solution found")
-            return 0
-        solution = derive_fractional_flows(rm, result.incumbent)
-    finally:
-        uninstall_restriction(rm)
+    solution = initial_primal_search(build_pq(net), tau=args.tau)
+    if solution is None:
+        print("no feasible solution found")
+        return 0
     print(f"feasible solution with objective {solution.objective:.6g}")
     return 0
 

@@ -16,6 +16,12 @@ forms whose linearizations are globally valid: the first as a perspective
 function (convex for s > 0), the second only on triplets where every
 feasible t is nonpositive, i.e. beta_hi <= 0, which is the closure of its
 convexity region.
+
+The gradient cuts are globally valid, so one pool serves a whole search.
+The CutBlock owns it: the cut names in install order and their normalized
+keys.  add_valid_cuts names a new cut by the pool's length and installs it
+into the block's relaxation and into the node relaxation it was found on,
+so the two never need to be brought back in step.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ class TripletParams:
     eta_hi: float
     beta_lo: float | None
     beta_hi: float | None
-    p_lo: float
-    p_hi: float
 
 
 @dataclass
@@ -77,7 +81,10 @@ class CutBlock:
     defining_rows: list[str]
     envelope_rows: list[str]
     static_rows: list[str]
+    # the gradient cuts installed so far, in order, and their normalized
+    # coefficient keys; shared by every node relaxation of a search
     cut_pool: list[str] = field(default_factory=list)
+    cut_keys: set[tuple] = field(default_factory=set)
 
     def dump_cut_pool(self) -> str:
         """Installed gradient cuts in the model text format."""
@@ -98,12 +105,14 @@ def _excess(pq: PQModel, j: str, k: str, i: str) -> float:
 
 def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
     """Install the relaxation variables, defining rows, envelope and static
-    inequalities for every (pool, output, quality) triplet.  Call once."""
-    if getattr(rm, "_pooling_cuts", None) is not None:
-        raise AlreadyInstalled("pooling inequalities already installed on this relaxation")
+    inequalities for every (pool, output, quality) triplet.  Call once per
+    relaxation: a relaxation that already carries the defining rows, its
+    clones included, raises AlreadyInstalled."""
     net = pq.network
     lp = rm.lp
     lj_pairs = index_set_lj(net)
+    if any(f"def_cut_s[{l},{j}]" in lp.constraints for l, j in lj_pairs):
+        raise AlreadyInstalled("pooling inequalities already installed on this relaxation")
 
     s_vars: dict[tuple[str, str], int] = {}
     u_vars: dict[tuple[str, str, str], int] = {}
@@ -153,8 +162,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
                 eta_hi=eta_hi,
                 beta_lo=beta_lo,
                 beta_hi=beta_hi,
-                p_lo=eta_lo,
-                p_hi=eta_hi,
             )
 
             u_vars[key] = lp.add_variable(
@@ -235,7 +242,7 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
                 lp.add_constraint(name, expr, Sense.LE, -beta_lo * eta_hi)
                 static.append(name)
 
-    cb = CutBlock(
+    return CutBlock(
         rm=rm,
         pq=pq,
         params=params,
@@ -247,8 +254,6 @@ def add_all_pooling_inequalities(rm: RelaxedModel, pq: PQModel) -> CutBlock:
         envelope_rows=envelope,
         static_rows=static,
     )
-    rm._pooling_cuts = cb
-    return cb
 
 
 def _perspective_cut(par: TripletParams, s_hat, u_hat, p_hat) -> tuple[dict[str, float], float] | None:
@@ -343,19 +348,23 @@ def _assemble(cb: CutBlock, key, family, grads, violation, s_hat, u_hat, t_hat, 
 
 
 def add_valid_cuts(cb: CutBlock, rm: RelaxedModel, point, eps: float = DEFAULT_VIOLATION_EPS) -> int:
-    """Generate and install cuts into the relaxation; returns how many were
-    new.  Duplicate cuts (by normalized coefficient hash) are skipped, so the
-    call is safe inside a cut loop."""
-    cuts = generate_valid_cuts(cb, point, eps)
+    """Generate cuts at the point and add the new ones to the pool; returns
+    how many were new.  Cuts already pooled (by normalized coefficient key)
+    are skipped, so the call is safe inside a cut loop.
+
+    Each new cut is installed into ``cb.rm`` and, when ``rm`` is another
+    relaxation (a node's clone of ``cb.rm``), into ``rm`` too, under the
+    same name.
+    """
     added = 0
-    for cut in cuts:
-        if cut.key in rm.cut_hashes:
+    for cut in generate_valid_cuts(cb, point, eps):
+        if cut.key in cb.cut_keys:
             continue
-        rm.cut_hashes.add(cut.key)
-        name = f"{cut.name_hint}#{len(rm.cut_rows)}"
-        rm.lp.add_constraint(name, cut.expr, Sense.LE, cut.rhs)
-        rm.cut_rows.append(name)
-        if rm is cb.rm:
-            cb.cut_pool.append(name)
+        cb.cut_keys.add(cut.key)
+        name = f"{cut.name_hint}#{len(cb.cut_pool)}"
+        cb.cut_pool.append(name)
+        cb.rm.lp.add_constraint(name, cut.expr, Sense.LE, cut.rhs)
+        if rm is not cb.rm:
+            rm.lp.add_constraint(name, cut.expr.copy(), Sense.LE, cut.rhs)
         added += 1
     return added

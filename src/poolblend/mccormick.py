@@ -13,7 +13,7 @@ variable is created.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import BoundsWiden, UnboundedBilinearVariable
 from .model import BilinearTerm, Constraint, Domain, LinearExpr, Model, Sense
@@ -21,12 +21,12 @@ from .model import BilinearTerm, Constraint, Domain, LinearExpr, Model, Sense
 __all__ = ["EnvelopeEntry", "RelaxedModel", "relax", "refresh_bounds"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvelopeEntry:
     aux_id: int
     x_id: int
     y_id: int
-    row_names: list[str]
+    row_names: tuple[str, ...]
     # the aux variable's own box; its LP box is this box intersected with
     # the corner products of the current factor boxes
     aux_lower: float = -math.inf
@@ -37,19 +37,10 @@ class EnvelopeEntry:
 class RelaxedModel:
     lp: Model
     envelopes: dict[tuple[int, int], EnvelopeEntry]
-    cut_hashes: set = field(default_factory=set)
-    cut_rows: list[str] = field(default_factory=list)
 
     def clone(self) -> "RelaxedModel":
-        return RelaxedModel(
-            lp=self.lp.clone(),
-            envelopes={
-                key: replace(e, row_names=list(e.row_names))
-                for key, e in self.envelopes.items()
-            },
-            cut_hashes=set(self.cut_hashes),
-            cut_rows=list(self.cut_rows),
-        )
+        # entries are frozen, so the clone shares them
+        return RelaxedModel(lp=self.lp.clone(), envelopes=dict(self.envelopes))
 
     def mccormick_residual(self, point) -> tuple[float, tuple[int, int] | None]:
         """Largest |w - x*y| over all envelopes at the point."""
@@ -138,12 +129,12 @@ def relax(model: Model) -> RelaxedModel:
             aux_id=aux_id,
             x_id=key[0],
             y_id=key[1],
-            row_names=[
+            row_names=(
                 f"mccormick_ge1[{aux.name}]",
                 f"mccormick_ge2[{aux.name}]",
                 f"mccormick_le1[{aux.name}]",
                 f"mccormick_le2[{aux.name}]",
-            ],
+            ),
             aux_lower=aux.lower,
             aux_upper=aux.upper,
         )
@@ -213,7 +204,8 @@ def refresh_bounds(rm: RelaxedModel, new_bounds: dict[int, tuple[float, float]])
             entry = rm.envelopes[key]
             if entry.aux_id in changed:
                 aux = rm.lp.variables[entry.aux_id]
-                entry.aux_lower, entry.aux_upper = aux.lower, aux.upper
+                entry = replace(entry, aux_lower=aux.lower, aux_upper=aux.upper)
+                rm.envelopes[key] = entry
             if entry.x_id in changed or entry.y_id in changed:
                 _envelope_rows(rm.lp, entry)
     return rm

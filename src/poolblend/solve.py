@@ -16,10 +16,16 @@ nodes open, so a limit never turns into ``optimal`` or ``infeasible``.
 Spatial branch & cut solves its root LP cold.  Each child node starts from
 the LP result its parent ended with, after the parent's cut rounds, and
 each cut round from the round before.  The gradient cuts are globally
-valid, so every node's new cuts are appended to the root relaxation, which
-each node clones: nodes run one at a time, so a parent's last LP is a row
+valid, so the cut block keeps one pool for the whole tree: a cut found at a
+node goes into the node's clone and into the root relaxation that later
+nodes clone.  Nodes run one at a time, so a parent's last LP is a row
 prefix of its child's LP and the start fits.  A node discarded without a
 proof keeps its bound in the reported lower bound.
+
+``SolveOptions`` only switches the cuts and the heuristic on or off and
+carries an observer hook; the cut-loop limits are module constants (at most
+``_MAX_CUT_ROUNDS`` rounds per node, in nodes down to depth
+``_IN_TREE_CUT_DEPTH``, at violation ``cuts.DEFAULT_VIOLATION_EPS``).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cuts import add_all_pooling_inequalities, add_valid_cuts
+from .cuts import CutBlock, add_all_pooling_inequalities, add_valid_cuts
 from .errors import NonLinearSideConstraints
 from .mccormick import RelaxedModel, refresh_bounds, relax
 from .model import Domain, Model
@@ -60,6 +66,9 @@ __all__ = [
 _GAP_EPS = 1e-10
 _MC_FEAS_TOL = 1e-6
 _INCUMBENT_ATTEMPT_TOL = 1e-3
+# cut rounds per node, and the deepest node that runs them
+_MAX_CUT_ROUNDS = 20
+_IN_TREE_CUT_DEPTH = 4
 
 
 @dataclass
@@ -106,7 +115,9 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
     that LP is a heuristic and not a node, so ``nodes`` and
     ``gap.node_limit`` do not count it.  A node or time limit never drops a
     node: the unexplored ones stay open, the status is ``feasible`` or
-    ``no_feasible_found`` and ``lower_bound`` is the least open bound.
+    ``no_feasible_found`` and ``lower_bound`` is the least open bound.  An
+    unbounded node LP proves no bound either: the search goes on, but it
+    ends ``feasible`` or ``no_feasible_found`` with ``lower_bound=-inf``.
     """
     gap = gap or GapSpec()
     start = time.monotonic()
@@ -118,12 +129,15 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
     lower = -math.inf
     nodes = 0
     counter = 0
+    unbounded = False
     # (bound, sequence number, overrides, the parent's LP result to start from)
     heap: list[tuple[float, int, dict[int, tuple[float, float]], LPResult | None]] = [
         (-math.inf, counter, {}, None)
     ]
 
     def closed() -> bool:
+        if unbounded:
+            return False
         return lower >= upper - gap.abs_tol or relative_gap(lower, upper) <= gap.rel_tol
 
     def accept(res: LPResult) -> None:
@@ -145,6 +159,10 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
         bound, _, overrides, parent = heapq.heappop(heap)
         res = solve_arrays(arrays, overrides, start=parent)
         nodes += 1
+        if res.status is LPStatus.UNBOUNDED:
+            # the binaries are boxed, so either the MIP is unbounded or this
+            # node holds no integer point; nothing here tells which
+            unbounded = True
         if res.status is not LPStatus.OPTIMAL:
             continue
         node_bound = max(bound, res.objective)
@@ -172,20 +190,22 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
             child[frac_var] = child_bounds
             heapq.heappush(heap, (node_bound, counter, child, res))
 
-    if incumbent is None:
-        if not heap:
-            return MIPResult("infeasible", math.inf, None, math.inf, nodes)
-        return MIPResult("no_feasible_found", math.inf, None, lower, nodes)
-    if not heap:
+    if unbounded:
+        lower = -math.inf
+    elif not heap:
         lower = upper
-    status = "optimal" if not heap or closed() else "feasible"
+    if incumbent is None:
+        status = "infeasible" if lower == math.inf else "no_feasible_found"
+        return MIPResult(status, math.inf, None, lower, nodes)
+    status = "optimal" if closed() else "feasible"
     return MIPResult(status, upper, incumbent, lower, nodes)
 
 
 def initial_primal_search(
-    pq: PQModel, gap: GapSpec | None = None
+    pq: PQModel, gap: GapSpec | None = None, tau: int = 1
 ) -> RestoredSolution | None:
-    """Find a feasible pooling solution through the tau=1 restriction MIP.
+    """Find a feasible pooling solution through the restriction MIP that
+    splits each pool into ``tau`` single-output copies.
 
     Refuses models carrying bilinear rows outside the pooling core: the
     restriction of such a model would silently drop them.
@@ -199,7 +219,7 @@ def initial_primal_search(
     if pq.model.objective_bilinear:
         raise NonLinearSideConstraints("objective carries bilinear terms")
     gap = gap or GapSpec(rel_tol=0.01, abs_tol=1e-8, time_limit=60.0)
-    rm = install_restriction(pq, RestrictionSpec(tau=1))
+    rm = install_restriction(pq, RestrictionSpec(tau=tau))
     try:
         result = solve_mip(pq.model, gap)
         if result.incumbent is None:
@@ -213,9 +233,6 @@ def initial_primal_search(
 class SolveOptions:
     use_pooling_cuts: bool = True
     use_primal_heuristic: bool = True
-    max_cut_rounds: int = 20
-    cut_violation_eps: float = 1e-5
-    in_tree_cut_depth: int = 4
     # observer hook, called after each node's LP (and cut rounds) with the
     # node record and its LPResult; fathomed nodes are not revisited
     node_hook: object | None = None
@@ -230,7 +247,6 @@ class BnBNode:
     # the LP result the parent ended with, after its cut rounds; siblings
     # share it, and the node's first LP starts from it
     start: LPResult | None = None
-    state: str = "open"  # open | fathomed | branched
 
 
 @dataclass
@@ -277,16 +293,16 @@ def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], 
 
 
 def _cut_loop(
-    rm: RelaxedModel, cb, options: SolveOptions, rounds: int, start: LPResult | None = None
+    rm: RelaxedModel, cb: CutBlock | None, start: LPResult | None = None
 ) -> tuple[LPResult, int]:
     res = solve_lp(rm.lp, start=start)
     added_total = 0
     if cb is None:
         return res, 0
-    for _ in range(rounds):
+    for _ in range(_MAX_CUT_ROUNDS):
         if res.status is not LPStatus.OPTIMAL:
             break
-        added = add_valid_cuts(cb, rm, res.x, options.cut_violation_eps)
+        added = add_valid_cuts(cb, rm, res.x)
         if added == 0:
             break
         added_total += added
@@ -329,12 +345,12 @@ def branch_and_cut(
 
     Best-first over node boxes.  Each node clones the root relaxation (its
     cuts included), tightens it to the node box and re-optimizes from its
-    parent's last LP result; nodes up to ``options.in_tree_cut_depth`` run
-    cut rounds and add their new cuts to the root relaxation.  A node is
-    discarded without a proof when its point is envelope-tight or it has
-    nothing left to split; its bound then stays in ``lower``, and the
-    status is ``feasible`` (``unknown`` without an incumbent) unless that
-    bound meets the incumbent within the gap.
+    parent's last LP result; nodes down to depth ``_IN_TREE_CUT_DEPTH`` run
+    cut rounds, whose new cuts the cut block also installs into the root
+    relaxation.  A node is discarded without a proof when its point is
+    envelope-tight or it has nothing left to split; its bound then stays in
+    ``lower``, and the status is ``feasible`` (``unknown`` without an
+    incumbent) unless that bound meets the incumbent within the gap.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
@@ -355,7 +371,7 @@ def branch_and_cut(
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
 
     t0 = time.monotonic()
-    root, cuts_added = _cut_loop(rm, cb, options, options.max_cut_rounds)
+    root, cuts_added = _cut_loop(rm, cb)
     root_cut_seconds = time.monotonic() - t0
 
     def report(status, lower, nodes):
@@ -407,7 +423,6 @@ def branch_and_cut(
         nonlocal counter, dropped
         picked = _branch_variable(rm, res.x, node.overrides, rm.lp)
         if picked is None:
-            node.state = "fathomed"
             dropped = min(dropped, node_bound)
             return
         var_id, xhat = picked
@@ -424,20 +439,12 @@ def branch_and_cut(
                 start=res,
             )
             heapq.heappush(heap, (child.bound, child.id, child))
-        node.state = "branched"
 
+    # the root point was already projected above, so an envelope-tight root
+    # closes the tree only when that incumbent meets its bound
     mc_res, _ = rm.mccormick_residual(root.x)
-    if mc_res > _MC_FEAS_TOL:
+    if mc_res > _MC_FEAS_TOL or incumbent_values is None or upper > lower + gap.abs_tol:
         push_children(root_node, root, lower)
-    elif incumbent_values is None or upper > lower + gap.abs_tol:
-        # envelope-tight root point: accept it if genuinely feasible
-        found = _try_incumbent(pq, root.x, upper)
-        if found is not None:
-            incumbent_values, upper = found
-            root_node.state = "fathomed"
-            dropped = lower
-        else:
-            push_children(root_node, root, lower)
 
     status = "unknown"
     while heap:
@@ -454,35 +461,26 @@ def branch_and_cut(
         lower = max(lower, min(bound, upper))
         if bound >= upper - gap.abs_tol:
             # best-first: every open node is at least this bound
-            node.state = "fathomed"
             lower = min(upper, max(lower, bound))
             status = "optimal"
             break
         rm_node = rm.clone()
         refresh_bounds(rm_node, node.overrides)
         nodes_visited += 1
-        if options.use_pooling_cuts and node.depth <= options.in_tree_cut_depth:
-            res, added = _cut_loop(rm_node, cb, options, options.max_cut_rounds, node.start)
+        if cb is not None and node.depth <= _IN_TREE_CUT_DEPTH:
+            # add_valid_cuts installs each new cut into the root relaxation
+            # too, so every later clone carries it and this node's last LP
+            # stays a row prefix of its children's LPs
+            res, added = _cut_loop(rm_node, cb, node.start)
             cuts_added += added
-            # the cuts are globally valid: pool them in the root relaxation,
-            # in order, so every later clone carries them and this node's
-            # last LP stays a row prefix of its children's LPs
-            for name in rm_node.cut_rows[len(rm.cut_rows) :]:
-                con = rm_node.lp.constraints[name]
-                rm.lp.add_constraint(name, con.linear, con.sense, con.rhs)
-                rm.cut_rows.append(name)
-                cb.cut_pool.append(name)
-            rm.cut_hashes |= rm_node.cut_hashes
         else:
             res = solve_lp(rm_node.lp, start=node.start)
         if options.node_hook is not None:
             options.node_hook(node, res)
         if res.status is not LPStatus.OPTIMAL:
-            node.state = "fathomed"
             continue
         node_bound = max(node.bound, res.objective)
         if node_bound >= upper - gap.abs_tol:
-            node.state = "fathomed"
             continue
         mc_res, _ = rm_node.mccormick_residual(res.x)
         if mc_res <= _INCUMBENT_ATTEMPT_TOL:
@@ -492,7 +490,6 @@ def branch_and_cut(
         if mc_res <= _MC_FEAS_TOL:
             # the relaxation is exact here, but the node is a proof only if
             # the incumbent meets its bound
-            node.state = "fathomed"
             dropped = min(dropped, node_bound)
             continue
         push_children(node, res, node_bound)

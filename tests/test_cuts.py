@@ -62,7 +62,6 @@ def test_h1_triplet_parameters(h1_pq):
     assert par.eta_hi == pytest.approx(0.5)
     assert par.beta_lo == pytest.approx(-0.5)
     assert par.beta_hi == pytest.approx(-0.5)
-    assert (par.p_lo, par.p_hi) == (par.eta_lo, par.eta_hi)
     par1 = cb.params[("l1", "j1", "sulfur")]
     assert par1.eta_lo == pytest.approx(-0.5)
     assert par1.eta_hi == pytest.approx(1.5)
@@ -101,8 +100,37 @@ def test_no_bypass_means_no_static_rows():
 
 def test_second_install_errors(h1_pq):
     rm, cb = install_on_h1(h1_pq)
-    with pytest.raises(AlreadyInstalled):
-        add_all_pooling_inequalities(rm, h1_pq)
+    # a clone carries the installed rows too
+    for again in (rm, rm.clone()):
+        with pytest.raises(AlreadyInstalled):
+            add_all_pooling_inequalities(again, h1_pq)
+
+
+def test_cuts_found_on_a_clone_go_into_both_relaxations(h1_pq):
+    rm, cb = install_on_h1(h1_pq)
+    res = solve_lp(rm.lp)
+    node = rm.clone()
+    rows = len(rm.lp.constraints)
+    added = add_valid_cuts(cb, node, res.x)
+    assert added > 0 and len(cb.cut_pool) == added
+    assert len(rm.lp.constraints) == len(node.lp.constraints) == rows + added
+    for name in cb.cut_pool:
+        root_row, node_row = rm.lp.constraints[name], node.lp.constraints[name]
+        assert root_row.linear.terms == node_row.linear.terms
+        assert (root_row.sense, root_row.rhs) == (node_row.sense, node_row.rhs)
+
+
+def test_cut_found_at_one_node_is_not_added_again_at_another(h1_pq):
+    rm, cb = install_on_h1(h1_pq)
+    res = solve_lp(rm.lp)
+    first = add_valid_cuts(cb, rm.clone(), res.x)
+    assert first > 0
+    pool = list(cb.cut_pool)
+    later = rm.clone()
+    rows = len(later.lp.constraints)
+    assert set(pool) <= set(later.lp.constraints)
+    assert add_valid_cuts(cb, later, res.x) == 0
+    assert cb.cut_pool == pool and len(later.lp.constraints) == rows
 
 
 def test_unbounded_output_capacity_errors(h1):

@@ -192,6 +192,21 @@ def test_clone_of_an_emptied_box_is_infeasible():
     assert solve_lp(clone.lp).status is LPStatus.INFEASIBLE
 
 
+def test_refreshing_a_clone_leaves_the_original_envelope():
+    m, x, y, v = defined_product_model((0.5, 10.0))
+    rm = relax(m)
+    clone = rm.clone()
+    key = (x.id, y.id)
+    assert clone.envelopes[key] is rm.envelopes[key]
+    refresh_bounds(clone, {v.id: (1.0, 3.5)})
+    refresh_bounds(clone, {x.id: (0.0, 1.9)})
+    entry, original = clone.envelopes[key], rm.envelopes[key]
+    assert (entry.aux_lower, entry.aux_upper) == (1.0, 3.5)
+    assert (original.aux_lower, original.aux_upper) == (0.5, 10.0)
+    aux = rm.lp.variables[v.id]
+    assert (aux.lower, aux.upper) == (0.5, 6.0)
+
+
 def test_inactive_rows_are_dropped():
     m = product_model(0.0, 1.0, 0.0, 1.0)
     m.deactivate("prod")

@@ -11,6 +11,8 @@ from poolblend import (
     GenSpec,
     LinearExpr,
     Model,
+    Network,
+    NodeLayer,
     Sense,
     SolveOptions,
     branch_and_cut,
@@ -109,6 +111,31 @@ def test_mip_limit_keeps_unexplored_nodes_open():
     assert (result.status, result.objective, result.nodes) == ("feasible", -17.0, 2)
     assert result.lower_bound == pytest.approx(-24.2)
     assert solve_mip(m).objective == pytest.approx(-18.0)
+
+
+def test_unbounded_restriction_keeps_no_bound():
+    # i1 reaches the uncapped output j1 at a profit, so the restriction LP is
+    # unbounded; that proves no bound, and it is not infeasibility
+    net = Network("uncapped_bypass")
+    net.add_node(NodeLayer.INPUT, "i1", cost=1.0, attr={"quality": {"q": 1.0}})
+    net.add_node(NodeLayer.INPUT, "i2", cost=2.0, attr={"quality": {"q": 3.0}})
+    net.add_node(NodeLayer.POOL, "l1")
+    net.add_node(NodeLayer.OUTPUT, "j1", cost=10.0, attr={"quality_upper": {"q": 2.0}})
+    net.add_node(
+        NodeLayer.OUTPUT, "j2", capacity_upper=100.0, cost=10.0,
+        attr={"quality_upper": {"q": 2.5}},
+    )
+    for source, destination in (("i1", "j1"), ("i1", "l1"), ("i2", "l1"), ("l1", "j2")):
+        net.add_edge(source, destination)
+    pq = build_pq(net.freeze())
+    rm = install_restriction(pq, RestrictionSpec(tau=1))
+    try:
+        result = solve_mip(pq.model)
+    finally:
+        uninstall_restriction(rm)
+    assert (result.status, result.incumbent, result.nodes) == ("no_feasible_found", None, 1)
+    assert result.lower_bound == -math.inf
+    assert initial_primal_search(pq) is None
 
 
 def test_rounding_finds_restriction_incumbent():

@@ -15,9 +15,9 @@ from .generate import FAMILIES, GenSpec, generate_instance
 from .mccormick import relax
 from .network import Network
 from .pq import build_pq
-from .solve import GapSpec, branch_and_cut, initial_primal_search
-from .cuts import add_all_pooling_inequalities, add_valid_cuts
-from .simplex import LPStatus, solve_lp
+from .solve import GapSpec, _cut_loop, branch_and_cut, initial_primal_search
+from .cuts import add_all_pooling_inequalities
+from .simplex import LPStatus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cutloop = sub.add_parser("cutloop", help="root cut loop on the LP relaxation")
     cutloop.add_argument("--instance", required=True)
-    cutloop.add_argument("--max-rounds", type=int, default=10)
 
     batch = sub.add_parser("bench", help="run an instance x config batch")
     batch.add_argument("--instances-dir", required=True)
@@ -106,21 +105,17 @@ def _cmd_heuristic(args) -> int:
 
 
 def _cmd_cutloop(args) -> int:
-    net = _load(args.instance)
-    pq = build_pq(net)
+    """The root cut loop of branch_and_cut, one line per LP and per round."""
+    pq = build_pq(_load(args.instance))
     rm = relax(pq.model)
-    cb = add_all_pooling_inequalities(rm, pq)
-    res = None
-    for iteration in range(args.max_rounds):
-        res = solve_lp(rm.lp, start=res)
-        if res.status is not LPStatus.OPTIMAL:
-            print(f"Iter {iteration}: LP {res.status.value}")
-            return 0
-        print("Iter {}: {}".format(iteration, res.objective))
-        new_cuts = add_valid_cuts(cb, rm, res.x)
-        print("  Adding {} cuts".format(new_cuts))
-        if not new_cuts:
-            break
+    res, rounds = _cut_loop(rm, add_all_pooling_inequalities(rm, pq))
+    for iteration, (objective, added) in enumerate(rounds):
+        print(f"Iter {iteration}: {objective}")
+        print(f"  Adding {added} cuts")
+    if not rounds or rounds[-1][1]:
+        # the last LP was not separated: it is not optimal or the rounds ran out
+        optimal = res.status is LPStatus.OPTIMAL
+        print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
     return 0
 
 

@@ -56,6 +56,11 @@ class MissingQuality(PoolblendError):
     pass
 
 
+class UnmodelledCost(PoolblendError):
+    """A nonzero edge cost, edge fixed cost or pool cost: the model has no
+    term for it, so solving would silently ignore it."""
+
+
 # relaxation
 class UnboundedBilinearVariable(PoolblendError):
     pass

@@ -12,6 +12,10 @@ Flow upper bounds are composed from edge capacities and node capacities:
 c_il = min(edge, input upper, pool upper), c_lj = min(edge, pool upper,
 output upper), c_ij = min(edge, input upper, output upper), c_l = pool upper.
 Bounds that stay infinite are simply not applied.
+
+Costs sit on the inputs and outputs only.  A nonzero cost or fixed cost on
+an edge the model uses, or a nonzero pool cost, raises ``UnmodelledCost``
+rather than being dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import EmptyLayer, InfeasiblePool, MissingQuality, NotFrozen
+from .errors import EmptyLayer, InfeasiblePool, MissingQuality, NotFrozen, UnmodelledCost
 from .model import BilinearTerm, LinearExpr, Model, Sense
 from .network import Network
 
@@ -151,6 +155,19 @@ def build_pq(net: Network) -> PQModel:
     for l in sorted(pools_with_edges):
         if not any(il[1] == l for il in sets.il):
             raise InfeasiblePool(f"pool {l!r} has outbound edges but no feed inputs")
+
+    for e in net.pq_edges():
+        for what, value in (("cost", e.cost), ("fixed_cost", e.fixed_cost)):
+            if value:
+                raise UnmodelledCost(
+                    f"edge {e.source!r}->{e.destination!r} has {what} {value}, "
+                    "which the model does not represent"
+                )
+    for l in pools:
+        if net.nodes[l].cost:
+            raise UnmodelledCost(
+                f"pool {l!r} has cost {net.nodes[l].cost}, which the model does not represent"
+            )
 
     quality_union = set(net.quality_keys())
     for j, k in sets.jk:

@@ -2,6 +2,10 @@
 the initial primal search, and spatial branch & cut over the McCormick
 relaxation with pooling cuts.
 
+Both trees run through one best-first search, ``_Search``: it owns the
+open nodes, the incumbent, the gap test, the limits and the final bound and
+status, and each solver supplies only the evaluation of a popped node.
+
 Everything is deterministic: node selection is best-bound with sequence
 numbers as tie-breaks, branching picks the variable with the worst envelope
 residual (ties on the lowest id), and the LP core is the in-package simplex.
@@ -10,8 +14,7 @@ The restriction MIP solves its root LP cold and every child from its
 parent's optimal basis (``solve_arrays(..., start=parent)``), since a child
 differs from its parent in one binary bound.  Until the first incumbent
 exists, each node that branches also solves a fix-and-solve rounding LP with
-every binary at its rounded value.  A node or time limit leaves unexplored
-nodes open, so a limit never turns into ``optimal`` or ``infeasible``.
+every binary at its rounded value.
 
 Spatial branch & cut solves its root LP cold.  Each child node starts from
 the LP result its parent ended with, after the parent's cut rounds, and
@@ -19,8 +22,7 @@ each cut round from the round before.  The gradient cuts are globally
 valid, so the cut block keeps one pool for the whole tree: a cut found at a
 node goes into the node's clone and into the root relaxation that later
 nodes clone.  Nodes run one at a time, so a parent's last LP is a row
-prefix of its child's LP and the start fits.  A node discarded without a
-proof keeps its bound in the reported lower bound.
+prefix of its child's LP and the start fits.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
@@ -31,13 +33,14 @@ carries an observer hook; the cut-loop limits are module constants (at most
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
 
 from .cuts import CutBlock, add_all_pooling_inequalities, add_valid_cuts
-from .errors import NonLinearSideConstraints
+from .errors import NonLinearSideConstraints, NumericalFailure
 from .mccormick import RelaxedModel, refresh_bounds, relax
 from .model import Domain, Model
 from .pq import PQModel
@@ -105,69 +108,113 @@ class MIPResult:
     nodes: int
 
 
+class _Search:
+    """One best-first tree search, shared by both solvers.
+
+    It keeps the open nodes on a heap keyed on their bound, with sequence
+    numbers as tie-breaks; the incumbent the caller ``offer``s; and the least
+    bound of the nodes dropped without a proof.  ``run`` pops the least open
+    node and hands it to ``evaluate(node, bound)``, which returns the node's
+    bound and its children, queued at that bound: no children fathom the
+    node, and ``None`` drops it without a proof.  A limit leaves unexplored
+    nodes open, and a node whose evaluation raises ``NumericalFailure`` is
+    dropped at the bound it was queued with, so neither proves anything.
+    """
+
+    def __init__(self, gap: GapSpec, deadline: float):
+        self.gap = gap
+        self.deadline = deadline  # on the time.monotonic() clock
+        self.incumbent = None
+        self.upper = math.inf
+        self.dropped = math.inf
+        self.nodes = 0
+        self._open: list[tuple[float, int, object]] = []
+        self._seq = itertools.count()
+
+    def queue(self, bound: float, children: list | None) -> None:
+        if children is None:
+            self.dropped = min(self.dropped, bound)
+        for child in children or ():
+            heapq.heappush(self._open, (bound, next(self._seq), child))
+
+    def offer(self, incumbent, value: float) -> None:
+        if value < self.upper:
+            self.incumbent, self.upper = incumbent, value
+
+    def fathomed(self, bound: float) -> bool:
+        return bound >= self.upper - self.gap.abs_tol
+
+    def _closed(self, bound: float) -> bool:
+        return self.fathomed(bound) or relative_gap(bound, self.upper) <= self.gap.rel_tol
+
+    def run(self, evaluate, unproven: str) -> tuple[str, float]:
+        """Search until the gap closes or a limit stops it; return the
+        status, ``unproven`` when there is neither an incumbent nor a proof of
+        infeasibility, and the least bound of an open or dropped node."""
+        node_limit = self.gap.node_limit
+        while self._open and not self.fathomed(self._open[0][0]):
+            if self._closed(min(self._open[0][0], self.dropped)):
+                break
+            if time.monotonic() > self.deadline:
+                break
+            if node_limit is not None and self.nodes >= node_limit:
+                break
+            bound, _, node = heapq.heappop(self._open)
+            self.nodes += 1
+            try:
+                bound, children = evaluate(node, bound)
+            except NumericalFailure:
+                children = None
+            self.queue(bound, children)
+        lower = min(self._open[0][0] if self._open else math.inf, self.dropped, self.upper)
+        if lower == math.inf:
+            return "infeasible", lower
+        if self.incumbent is None:
+            return unproven, lower
+        return ("optimal" if self._closed(lower) else "feasible"), lower
+
+
+def _deadline(start: float, gap: GapSpec) -> float:
+    return math.inf if gap.time_limit is None else start + gap.time_limit
+
+
 def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
     """Best-first branch & bound on the model's binary variables.
 
-    The root LP is solved cold; every child re-optimizes from its parent's
-    optimal basis, which differs from it in one binary bound.  Until the
-    first incumbent exists, each node about to branch also solves one LP with
-    every binary fixed at its rounded value, warm from the node's result;
-    that LP is a heuristic and not a node, so ``nodes`` and
-    ``gap.node_limit`` do not count it.  A node or time limit never drops a
-    node: the unexplored ones stay open, the status is ``feasible`` or
-    ``no_feasible_found`` and ``lower_bound`` is the least open bound.  An
-    unbounded node LP proves no bound either: the search goes on, but it
-    ends ``feasible`` or ``no_feasible_found`` with ``lower_bound=-inf``.
+    A node is one LP with some binaries fixed.  The root LP is solved cold;
+    every child re-optimizes from its parent's optimal basis, which differs
+    from it in one binary bound.  Until the first incumbent exists, each
+    node about to branch also solves one LP with every binary fixed at its
+    rounded value, warm from the node's result; that LP is a heuristic and
+    not a node, so ``nodes`` and ``gap.node_limit`` do not count it.  The
+    search, its limits and its statuses are those of ``_Search``; a run
+    with neither incumbent nor proof ends ``no_feasible_found``.  An
+    unbounded node LP proves no bound: the node is dropped at ``-inf``.
     """
     gap = gap or GapSpec()
-    start = time.monotonic()
+    search = _Search(gap, _deadline(time.monotonic(), gap))
     arrays = LPArrays.from_model(model, relax_binaries=True)
     binaries = [v.id for v in model.variables if v.domain is Domain.BINARY]
 
-    incumbent: dict[int, float] | None = None
-    upper = math.inf
-    lower = -math.inf
-    nodes = 0
-    counter = 0
-    unbounded = False
-    # (bound, sequence number, overrides, the parent's LP result to start from)
-    heap: list[tuple[float, int, dict[int, tuple[float, float]], LPResult | None]] = [
-        (-math.inf, counter, {}, None)
-    ]
-
-    def closed() -> bool:
-        if unbounded:
-            return False
-        return lower >= upper - gap.abs_tol or relative_gap(lower, upper) <= gap.rel_tol
-
     def accept(res: LPResult) -> None:
-        nonlocal upper, incumbent
-        upper = res.objective
         incumbent = {v.id: float(res.x[v.id]) for v in model.variables}
         for b in binaries:
             incumbent[b] = float(round(incumbent[b]))
+        search.offer(incumbent, res.objective)
 
-    while heap:
-        lower = max(lower, heap[0][0])
-        if closed():
-            lower = min(lower, upper)
-            break
-        if gap.time_limit is not None and time.monotonic() - start > gap.time_limit:
-            break
-        if gap.node_limit is not None and nodes >= gap.node_limit:
-            break
-        bound, _, overrides, parent = heapq.heappop(heap)
+    def evaluate(node, bound):
+        # the node's binary bounds, and the parent's LP result to start from
+        overrides, parent = node
         res = solve_arrays(arrays, overrides, start=parent)
-        nodes += 1
         if res.status is LPStatus.UNBOUNDED:
             # the binaries are boxed, so either the MIP is unbounded or this
             # node holds no integer point; nothing here tells which
-            unbounded = True
+            return -math.inf, None
         if res.status is not LPStatus.OPTIMAL:
-            continue
-        node_bound = max(bound, res.objective)
-        if node_bound >= upper - gap.abs_tol:
-            continue
+            return bound, []
+        bound = max(bound, res.objective)
+        if search.fathomed(bound):
+            return bound, []
         frac_var, frac_amount = -1, 0.0
         for b in binaries:
             f = abs(res.x[b] - round(res.x[b]))
@@ -176,29 +223,19 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
                 frac_var = b
         if frac_var < 0:
             accept(res)
-            continue
-        if incumbent is None:
+            return bound, []
+        if search.incumbent is None:
             rounded = {b: (float(round(res.x[b])),) * 2 for b in binaries}
             fixed = solve_arrays(arrays, rounded, start=res)
             if fixed.status is LPStatus.OPTIMAL:
                 accept(fixed)
-                if node_bound >= upper - gap.abs_tol:
-                    continue
-        for child_bounds in ((0.0, 0.0), (1.0, 1.0)):
-            counter += 1
-            child = dict(overrides)
-            child[frac_var] = child_bounds
-            heapq.heappush(heap, (node_bound, counter, child, res))
+                if search.fathomed(bound):
+                    return bound, []
+        return bound, [({**overrides, frac_var: fix}, res) for fix in ((0.0, 0.0), (1.0, 1.0))]
 
-    if unbounded:
-        lower = -math.inf
-    elif not heap:
-        lower = upper
-    if incumbent is None:
-        status = "infeasible" if lower == math.inf else "no_feasible_found"
-        return MIPResult(status, math.inf, None, lower, nodes)
-    status = "optimal" if closed() else "feasible"
-    return MIPResult(status, upper, incumbent, lower, nodes)
+    search.queue(-math.inf, [({}, None)])
+    status, lower = search.run(evaluate, "no_feasible_found")
+    return MIPResult(status, search.upper, search.incumbent, lower, search.nodes)
 
 
 def initial_primal_search(
@@ -242,7 +279,6 @@ class SolveOptions:
 class BnBNode:
     id: int
     depth: int
-    bound: float
     overrides: dict[int, tuple[float, float]]
     # the LP result the parent ended with, after its cut rounds; siblings
     # share it, and the node's first LP starts from it
@@ -294,20 +330,23 @@ def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], 
 
 def _cut_loop(
     rm: RelaxedModel, cb: CutBlock | None, start: LPResult | None = None
-) -> tuple[LPResult, int]:
+) -> tuple[LPResult, list[tuple[float, int]]]:
+    """Solve the relaxation, then separate and re-solve for at most
+    ``_MAX_CUT_ROUNDS`` rounds; return the last LP and, per round, the
+    objective it separated and the number of cuts it added."""
     res = solve_lp(rm.lp, start=start)
-    added_total = 0
+    rounds: list[tuple[float, int]] = []
     if cb is None:
-        return res, 0
+        return res, rounds
     for _ in range(_MAX_CUT_ROUNDS):
         if res.status is not LPStatus.OPTIMAL:
             break
         added = add_valid_cuts(cb, rm, res.x)
+        rounds.append((res.objective, added))
         if added == 0:
             break
-        added_total += added
         res = solve_lp(rm.lp, start=res)
-    return res, added_total
+    return res, rounds
 
 
 def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, float] | None:
@@ -343,163 +382,124 @@ def branch_and_cut(
 ) -> SolveReport:
     """Spatial branch & cut to global optimality of the pooling model.
 
-    Best-first over node boxes.  Each node clones the root relaxation (its
-    cuts included), tightens it to the node box and re-optimizes from its
-    parent's last LP result; nodes down to depth ``_IN_TREE_CUT_DEPTH`` run
-    cut rounds, whose new cuts the cut block also installs into the root
-    relaxation.  A node is discarded without a proof when its point is
-    envelope-tight or it has nothing left to split; its bound then stays in
-    ``lower``, and the status is ``feasible`` (``unknown`` without an
-    incumbent) unless that bound meets the incumbent within the gap.
+    The root relaxation runs the root cut loop outside the search; its
+    children seed the ``_Search`` that every later node goes through.  Each
+    node clones the root relaxation (its cuts included), tightens it to the
+    node box and re-optimizes from its parent's last LP result; nodes down
+    to depth ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut
+    block also installs into the root relaxation.  A node is dropped
+    without a proof when its point is envelope-tight, it has nothing left
+    to split or its LP is unbounded; its bound then stays in ``lower``, and
+    the status is ``feasible`` (``unknown`` without an incumbent) unless
+    that bound meets the incumbent within the gap.  ``nodes`` does not
+    count the root.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
     start = time.monotonic()
+    search = _Search(gap, _deadline(start, gap))
 
-    incumbent_values: dict[int, float] | None = None
-    upper = math.inf
     heuristic_seconds = 0.0
     if options.use_primal_heuristic:
         t0 = time.monotonic()
         solution = initial_primal_search(pq)
         heuristic_seconds = time.monotonic() - t0
         if solution is not None:
-            incumbent_values = solution.values
-            upper = solution.objective
+            search.offer(solution.values, solution.objective)
 
     rm = relax(pq.model)
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
 
     t0 = time.monotonic()
-    root, cuts_added = _cut_loop(rm, cb)
+    root, rounds = _cut_loop(rm, cb)
     root_cut_seconds = time.monotonic() - t0
+    cuts_added = sum(added for _, added in rounds)
 
-    def report(status, lower, nodes):
-        wall = time.monotonic() - start
-        inc = (
-            RestoredSolution(values=incumbent_values, objective=upper)
-            if incumbent_values is not None
-            else None
-        )
-        if inc is not None and lower > upper:
-            lower = upper
+    def report(status, lower):
+        upper = search.upper
+        lower = min(lower, upper)
         return SolveReport(
             status=status,
-            incumbent=inc,
+            incumbent=(
+                RestoredSolution(values=search.incumbent, objective=upper)
+                if search.incumbent is not None
+                else None
+            ),
             lower=lower,
             upper=upper,
             rel_gap=relative_gap(lower, upper),
-            nodes=nodes,
+            nodes=search.nodes,
             cuts=cuts_added,
-            wall_seconds=wall,
+            wall_seconds=time.monotonic() - start,
             heuristic_seconds=heuristic_seconds,
             root_cut_seconds=root_cut_seconds,
         )
 
     if root.status is LPStatus.INFEASIBLE:
-        return report("infeasible", math.inf, 0)
+        return report("infeasible", math.inf)
     if root.status is not LPStatus.OPTIMAL:
-        return report("unknown", -math.inf, 0)
+        return report("unknown", -math.inf)
 
-    lower = root.objective
-    found = _try_incumbent(pq, root.x, upper)
+    found = _try_incumbent(pq, root.x, search.upper)
     if found is not None:
-        incumbent_values, upper = found
-
-    nodes_visited = 0
-    counter = 0
-    heap: list[tuple[float, int, BnBNode]] = []
-    root_node = BnBNode(id=0, depth=0, overrides={}, bound=lower)
-    # least bound of a node discarded without a proof: an envelope-tight node
-    # (its projection may be rejected) or one with nothing left to split
-    dropped = math.inf
+        search.offer(*found)
+    ids = itertools.count(1)
+    root_node = BnBNode(id=0, depth=0, overrides={})
     if options.node_hook is not None:
         options.node_hook(root_node, root)
 
-    def closed(bound: float) -> bool:
-        return relative_gap(bound, upper) <= gap.rel_tol or upper - bound <= gap.abs_tol
-
-    def push_children(node: BnBNode, res: LPResult, node_bound: float) -> None:
-        nonlocal counter, dropped
+    def split(node: BnBNode, res: LPResult, bound: float):
         picked = _branch_variable(rm, res.x, node.overrides, rm.lp)
         if picked is None:
-            dropped = min(dropped, node_bound)
-            return
+            return bound, None
         var_id, xhat = picked
         lo, up = node.overrides.get(
             var_id, (rm.lp.variables[var_id].lower, rm.lp.variables[var_id].upper)
         )
-        for child_lo, child_up in ((lo, xhat), (xhat, up)):
-            counter += 1
-            child = BnBNode(
-                id=counter,
-                depth=node.depth + 1,
-                bound=node_bound,
-                overrides={**node.overrides, var_id: (child_lo, child_up)},
-                start=res,
-            )
-            heapq.heappush(heap, (child.bound, child.id, child))
+        return bound, [
+            BnBNode(next(ids), node.depth + 1, {**node.overrides, var_id: box}, res)
+            for box in ((lo, xhat), (xhat, up))
+        ]
 
-    # the root point was already projected above, so an envelope-tight root
-    # closes the tree only when that incumbent meets its bound
-    mc_res, _ = rm.mccormick_residual(root.x)
-    if mc_res > _MC_FEAS_TOL or incumbent_values is None or upper > lower + gap.abs_tol:
-        push_children(root_node, root, lower)
-
-    status = "unknown"
-    while heap:
-        if closed(min(lower, dropped)):
-            status = "optimal"
-            break
-        if gap.time_limit is not None and time.monotonic() - start > gap.time_limit:
-            status = "feasible" if incumbent_values is not None else "unknown"
-            return report(status, min(lower, dropped), nodes_visited)
-        if gap.node_limit is not None and nodes_visited >= gap.node_limit:
-            status = "feasible" if incumbent_values is not None else "unknown"
-            return report(status, min(lower, dropped), nodes_visited)
-        bound, _, node = heapq.heappop(heap)
-        lower = max(lower, min(bound, upper))
-        if bound >= upper - gap.abs_tol:
-            # best-first: every open node is at least this bound
-            lower = min(upper, max(lower, bound))
-            status = "optimal"
-            break
+    def evaluate(node: BnBNode, bound: float):
+        nonlocal cuts_added
         rm_node = rm.clone()
         refresh_bounds(rm_node, node.overrides)
-        nodes_visited += 1
         if cb is not None and node.depth <= _IN_TREE_CUT_DEPTH:
             # add_valid_cuts installs each new cut into the root relaxation
             # too, so every later clone carries it and this node's last LP
             # stays a row prefix of its children's LPs
-            res, added = _cut_loop(rm_node, cb, node.start)
-            cuts_added += added
+            res, rounds = _cut_loop(rm_node, cb, node.start)
+            cuts_added += sum(added for _, added in rounds)
         else:
             res = solve_lp(rm_node.lp, start=node.start)
         if options.node_hook is not None:
             options.node_hook(node, res)
+        if res.status is LPStatus.UNBOUNDED:
+            return -math.inf, None
         if res.status is not LPStatus.OPTIMAL:
-            continue
-        node_bound = max(node.bound, res.objective)
-        if node_bound >= upper - gap.abs_tol:
-            continue
+            return bound, []
+        bound = max(bound, res.objective)
+        if search.fathomed(bound):
+            return bound, []
         mc_res, _ = rm_node.mccormick_residual(res.x)
         if mc_res <= _INCUMBENT_ATTEMPT_TOL:
-            found = _try_incumbent(pq, res.x, upper)
+            found = _try_incumbent(pq, res.x, search.upper)
             if found is not None:
-                incumbent_values, upper = found
+                search.offer(*found)
         if mc_res <= _MC_FEAS_TOL:
             # the relaxation is exact here, but the node is a proof only if
             # the incumbent meets its bound
-            dropped = min(dropped, node_bound)
-            continue
-        push_children(node, res, node_bound)
+            return bound, None
+        return split(node, res, bound)
 
-    if not heap and status == "unknown":
-        # tree exhausted: everything fathomed against the incumbent
-        status = "optimal" if incumbent_values is not None else "infeasible"
-        lower = upper if incumbent_values is not None else math.inf
-    if dropped < lower:
-        lower = dropped
-        if not closed(lower):
-            status = "feasible" if incumbent_values is not None else "unknown"
-    return report(status, lower, nodes_visited)
+    # the root point was already projected above, so an envelope-tight root
+    # closes the tree only when that incumbent meets its bound
+    mc_res, _ = rm.mccormick_residual(root.x)
+    if (
+        mc_res > _MC_FEAS_TOL
+        or search.incumbent is None
+        or search.upper > root.objective + gap.abs_tol
+    ):
+        search.queue(*split(root_node, root, root.objective))
+    return report(*search.run(evaluate, "unknown"))

@@ -52,7 +52,7 @@ def test_cutloop_command(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(gen_args(inst))
     capsys.readouterr()
-    assert main(["cutloop", "--instance", str(inst), "--max-rounds", "5"]) == 0
+    assert main(["cutloop", "--instance", str(inst)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("Iter 0: ")
     assert "Adding" in out

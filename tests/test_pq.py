@@ -1,9 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from poolblend import Network, build_pq, rebuild
 from poolblend.pq import index_set_ij, index_set_il, index_set_ilj, index_set_jk, index_set_lj
-from poolblend.errors import EmptyLayer, InfeasiblePool, MissingQuality, NotFrozen
+from poolblend.errors import (
+    EmptyLayer,
+    InfeasiblePool,
+    MissingQuality,
+    NotFrozen,
+    UnmodelledCost,
+)
 
 
 def test_fragment_variable_bounds_and_reduction2(fragment):
@@ -78,6 +86,26 @@ def test_missing_quality_is_an_error():
     net.add_edge("l", "j")
     net.freeze()
     with pytest.raises(MissingQuality):
+        build_pq(net)
+
+
+@pytest.mark.parametrize(
+    "layer, name, field, value",
+    [
+        ("edges", "i1->l1", "cost", 2.5),
+        ("edges", "l1->j2", "fixed_cost", 40.0),
+        ("nodes", "l1", "cost", 1.0),
+    ],
+)
+def test_unmodelled_cost_is_an_error(h1, layer, name, field, value):
+    # set through the JSON document, which keeps the field on a round trip
+    doc = json.loads(h1.to_json())
+    for entry in doc[layer]:
+        if name in (entry.get("name"), f"{entry.get('source')}->{entry.get('destination')}"):
+            entry[field] = value
+    net = Network.from_json(json.dumps(doc))
+    assert json.loads(net.to_json()) == doc
+    with pytest.raises(UnmodelledCost, match=f"{field} {value}"):
         build_pq(net)
 
 

@@ -31,7 +31,7 @@ from poolblend import (
 import poolblend.simplex as simplex
 import poolblend.solve as solve_module
 from poolblend.cuts import add_all_pooling_inequalities, add_valid_cuts
-from poolblend.errors import NonLinearSideConstraints
+from poolblend.errors import NonLinearSideConstraints, NumericalFailure
 from poolblend.restriction import RestoredSolution
 from poolblend.simplex import LPStatus
 
@@ -87,6 +87,19 @@ def test_mip_integral_root_stops_immediately():
     assert result.nodes == 1
 
 
+def knapsack():
+    """max 9a + 8b + 9c s.t. 4a + 2b + 5c <= 10.  The root LP is a = b = 1,
+    c = 0.8, which rounds to an infeasible point; child c = 0 gives a = b = 1
+    (17) and child c = 1 holds the optimum a = c = 1 (18)."""
+    m = Model("knapsack")
+    z = [m.add_variable(f"z{i}", 0.0, 1.0, Domain.BINARY) for i in range(3)]
+    m.add_constraint(
+        "cap", LinearExpr({z[0].id: 4.0, z[1].id: 2.0, z[2].id: 5.0}), Sense.LE, 10.0
+    )
+    m.objective = LinearExpr({z[0].id: -9.0, z[1].id: -8.0, z[2].id: -9.0})
+    return m, z
+
+
 def test_mip_limit_keeps_unexplored_nodes_open():
     # with no node explored, the root stays open and its bound is -inf
     pq = build_pq(generate_instance(DESK_SPARSE_S1))
@@ -98,15 +111,8 @@ def test_mip_limit_keeps_unexplored_nodes_open():
     assert (result.status, result.incumbent, result.nodes) == ("no_feasible_found", None, 0)
     assert result.lower_bound == -math.inf
 
-    # max 9a + 8b + 9c s.t. 4a + 2b + 5c <= 10: the root LP is a = b = 1,
-    # c = 0.8, which rounds to an infeasible point; child c = 0 gives a = b = 1
-    # (17), and child c = 1, which holds the optimum a = c = 1 (18), is open
-    m = Model("knapsack")
-    z = [m.add_variable(f"z{i}", 0.0, 1.0, Domain.BINARY) for i in range(3)]
-    m.add_constraint(
-        "cap", LinearExpr({z[0].id: 4.0, z[1].id: 2.0, z[2].id: 5.0}), Sense.LE, 10.0
-    )
-    m.objective = LinearExpr({z[0].id: -9.0, z[1].id: -8.0, z[2].id: -9.0})
+    # child c = 1, which holds the optimum a = c = 1 (18), is left open
+    m, _ = knapsack()
     result = solve_mip(m, GapSpec(node_limit=2))
     assert (result.status, result.objective, result.nodes) == ("feasible", -17.0, 2)
     assert result.lower_bound == pytest.approx(-24.2)
@@ -413,11 +419,53 @@ def test_branch_and_cut_deterministic(tiny_nets):
 
 
 def test_gap_limits_respected(h1_pq):
-    report = branch_and_cut(
-        h1_pq,
-        GapSpec(rel_tol=1e-6, node_limit=0),
-        SolveOptions(use_pooling_cuts=False, use_primal_heuristic=True),
-    )
-    # the heuristic incumbent exists even before any node is explored
+    # node_limit=0: the heuristic incumbent exists even before any node is
+    # explored, and the bound is h1's plain root bound.  node_limit=2: the
+    # root's children (-400 and -100) both branch without an incumbent below
+    # -100, so their four children stay open and the least open bound is -400
+    cases = ((0, True, -400.0, -500.0), (2, False, -100.0, -400.0))
+    for node_limit, heuristic, upper, lower in cases:
+        report = branch_and_cut(
+            h1_pq,
+            GapSpec(rel_tol=1e-6, node_limit=node_limit),
+            SolveOptions(use_pooling_cuts=False, use_primal_heuristic=heuristic),
+        )
+        assert (report.status, report.nodes) == ("feasible", node_limit)
+        assert report.upper == pytest.approx(upper, abs=1e-6)
+        assert report.lower == pytest.approx(lower, abs=1e-6)
+
+
+def test_failed_node_lp_keeps_its_bound(monkeypatch, h1_pq):
+    # the root LP solves; the first node LP raises, so that node is dropped
+    # at the root bound it was queued with and no proof of -400 remains
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericalFailure("forced")
+        return simplex.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "solve_lp", fail_second)
+    report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions(use_pooling_cuts=False))
+    assert (report.status, report.nodes) == ("feasible", 2)
+    assert report.lower <= report.upper
+    assert report.lower == pytest.approx(-500.0, abs=1e-6)
     assert report.upper == pytest.approx(-400.0, abs=1e-6)
-    assert report.nodes == 0
+
+
+def test_failed_mip_child_keeps_the_incumbent(monkeypatch):
+    # child c = 0 gives the incumbent -17, and child c = 1 raises, so it is
+    # dropped at the root bound it was queued with
+    m, z = knapsack()
+
+    def fail_c1(arrays, overrides=None, start=None):
+        if overrides == {z[2].id: (1.0, 1.0)}:
+            raise NumericalFailure("forced")
+        return simplex.solve_arrays(arrays, overrides, start=start)
+
+    monkeypatch.setattr(solve_module, "solve_arrays", fail_c1)
+    result = solve_mip(m)
+    assert (result.status, result.objective, result.nodes) == ("feasible", -17.0, 3)
+    assert result.incumbent is not None
+    assert result.lower_bound == pytest.approx(-24.2)

@@ -2,10 +2,13 @@
 
 Shows the bound moving from the plain envelope value to the global optimum
 as violated nonlinear inequalities are linearized at successive LP optima.
+The loop is the root cut loop of ``branch_and_cut``, so the last bound
+printed is the root bound the solver reaches.
 """
 
 import poolblend as pb
 from poolblend.instances import haverly
+from poolblend.solve import _cut_loop
 
 pq = pb.build_pq(haverly())
 rm = pb.relax(pq.model)
@@ -16,15 +19,15 @@ for key, par in sorted(cb.params.items()):
     print(f"  {key}: eta=[{par.eta_lo:+.2f},{par.eta_hi:+.2f}] "
           f"beta=[{par.beta_lo:+.2f},{par.beta_hi:+.2f}]")
 
-res = pb.solve_lp(rm.lp)
-for iteration in range(10):
-    print("Iter {}: {}".format(iteration, res.objective))
-    new_cuts = pb.add_valid_cuts(cb, rm, res.x)
-    print("  Adding {} cuts".format(new_cuts))
-    if not new_cuts:
-        break
-    # re-optimize from the previous optimal basis: only the new cut rows move
-    res = pb.solve_lp(rm.lp, start=res)
+# each round re-optimizes from the previous optimal basis: only the new cut
+# rows move
+res, rounds = _cut_loop(rm, cb)
+for iteration, (objective, added) in enumerate(rounds):
+    print(f"Iter {iteration}: {objective}")
+    print(f"  Adding {added} cuts")
+if not rounds or rounds[-1][1]:
+    # the last LP was not separated: it is not optimal or the rounds ran out
+    print(f"Iter {len(rounds)}: {res.objective}")
 
 print("installed gradient cuts:")
 print(cb.dump_cut_pool())

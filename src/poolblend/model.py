@@ -94,7 +94,7 @@ class LinearExpr:
         return bool(self.terms) or self.constant != 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BilinearTerm:
     coefficient: float
     var_a: int
@@ -114,7 +114,8 @@ class BilinearTerm:
 class Constraint:
     name: str
     linear: LinearExpr
-    bilinear: list[BilinearTerm]
+    # immutable, so rows without a product share () and clones share the tuple
+    bilinear: tuple[BilinearTerm, ...]
     sense: Sense
     rhs: float
     active: bool = True
@@ -181,7 +182,7 @@ class Model:
     ) -> Constraint:
         if name in self.constraints:
             raise ValueError(f"constraint {name!r} already in model")
-        con = Constraint(name=name, linear=linear, bilinear=list(bilinear), sense=sense, rhs=rhs, active=active)
+        con = Constraint(name=name, linear=linear, bilinear=tuple(bilinear), sense=sense, rhs=rhs, active=active)
         self.constraints[name] = con
         return con
 
@@ -257,7 +258,7 @@ class Model:
             out.constraints[con.name] = Constraint(
                 name=con.name,
                 linear=con.linear.copy(),
-                bilinear=list(con.bilinear),
+                bilinear=con.bilinear,
                 sense=con.sense,
                 rhs=con.rhs,
                 active=con.active,
@@ -276,7 +277,7 @@ class Model:
             lines.append(f"{name}: {expr} {con.sense.value} {_fmt(con.rhs)}{flag}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def _format_expr(self, linear: LinearExpr, bilinear: list[BilinearTerm]) -> str:
+    def _format_expr(self, linear: LinearExpr, bilinear: Sequence[BilinearTerm]) -> str:
         parts = []
         for var_id, coeff in linear.items():
             parts.append(f"{_fmt(coeff)} {self.variables[var_id].name}")

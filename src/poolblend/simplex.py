@@ -13,8 +13,13 @@ column.
 Nonbasic variables rest at a bound, rows carry slacks, and an artificial
 basis opens phase 1.  Only the structural columns are stored (dense,
 m x n): slack i is the implicit unit column e_i and artificial i is
-sigma_i * e_i.  The explicit basis inverse gets its rank-1 update on the
-nonzero support of the pivot column and pivot row only; the skipped
+sigma_i * e_i, so B_inv times either is one column of B_inv.  A refactor
+inverts only the structural kernel, the basic structural columns on the
+rows that no basic unit column covers, and assembles the explicit basis
+inverse blockwise from it (Suhl & Suhl's triangular pre-pass over the unit
+columns): O(k^3 + (m-k) k^2) for k basic structurals, against O(m^3) for
+the whole basis.  Between refactors the inverse gets its rank-1 update on
+the nonzero support of the pivot column and pivot row only; the skipped
 entries would subtract exact zeros, so the inverse, and with it the pivot
 sequence, is the same as under a dense update.  Entering variable: most
 negative reduced-cost direction (Dantzig) over the columns that can move,
@@ -335,6 +340,7 @@ class _Simplex:
             else:
                 self.basis[i] = next(structural)
         self.status[self.basis] = self.BASIC
+        self.B_inv = np.empty((m, m))  # run_warm factors the basis into it
         self.degenerate_pivots = 0
         self.bland = False
 
@@ -358,18 +364,23 @@ class _Simplex:
         else:
             self.x[j], self.status[j] = 0.0, self.FREE
 
-    def _column(self, j: int) -> np.ndarray:
-        """Column j: structural from A, slack i as e_i, artificial i as sigma_i * e_i."""
+    def _ftran(self, j: int) -> np.ndarray:
+        """B_inv times column j; slack i is e_i and artificial i sigma_i * e_i,
+        so theirs is one column of B_inv."""
         if j < self.n:
-            return self.A[:, j]
+            return self.B_inv @ self.A[:, j]
         i = (j - self.n) % self.m
-        col = np.zeros(self.m)
-        col[i] = 1.0 if j < self.art_start else self.sigma[i]
-        return col
+        return self.B_inv[:, i] * (1.0 if j < self.art_start else self.sigma[i])
 
-    def _basis_matrix(self) -> np.ndarray:
-        """The m x m basis B whose inverse the pivot loop carries."""
-        return np.column_stack([self._column(j) for j in self.basis])
+    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Basis positions of the structurals; positions of the unit columns
+        (slacks and artificials) with the row each covers and its sign."""
+        basis = self.basis
+        struct = np.flatnonzero(basis < self.n)
+        unit = np.flatnonzero(basis >= self.n)
+        rows = (basis[unit] - self.n) % self.m
+        signs = np.where(basis[unit] < self.art_start, 1.0, self.sigma[rows])
+        return struct, unit, rows, signs
 
     def _row_activity(self, x: np.ndarray) -> np.ndarray:
         """A x + slacks + sigma * artificials, for a full-length point x."""
@@ -382,36 +393,76 @@ class _Simplex:
         self.x[self.basis] = self.B_inv @ (self.b - self._row_activity(xn))
 
     def _refactor(self) -> None:
-        B = self._basis_matrix()
-        try:
-            self.B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            self._repair_basis()
-            return
-        # spot-check the inverse; LAPACK returns garbage silently near
-        # singularity instead of raising
-        probe = np.zeros(self.m)
-        probe[self.iterations % self.m] = 1.0
-        if not np.all(np.isfinite(self.B_inv)) or (
-            float(np.max(np.abs(B @ (self.B_inv @ probe) - probe))) > 1e-6
+        # spot-check one column of the inverse; LAPACK returns garbage
+        # silently near singularity instead of raising
+        if (
+            not self._factor()
+            or not np.all(np.isfinite(self.B_inv))
+            or self._probe_error(self.iterations % self.m) > 1e-6
         ):
             self._repair_basis()
             return
         self._since_refactor = 0
         self._recompute_basics()
 
+    def _factor(self) -> bool:
+        """Write the inverse of the basis into B_inv from the inverse of its
+        structural kernel.
+
+        With S the basic structural columns, U the rows the basic unit columns
+        cover, D their signs and R the other rows, the kernel is K = S[R] and
+        B_inv[struct, R] = K^-1, B_inv[struct, U] = 0, B_inv[unit, U] = D,
+        B_inv[unit, R] = -D S[U] K^-1.  Returns False, leaving B_inv as it
+        was, when two unit columns cover one row or K is singular.
+        """
+        struct, unit, rows, signs = self._split()
+        covered = np.zeros(self.m, dtype=bool)
+        covered[rows] = True
+        kernel = np.flatnonzero(~covered)
+        if kernel.size != struct.size:
+            return False  # a row covered twice
+        cols = self.basis[struct]
+        try:
+            K_inv = np.linalg.inv(self.A[np.ix_(kernel, cols)])
+        except np.linalg.LinAlgError:
+            return False
+        unit_block = (self.A[np.ix_(rows, cols)] @ K_inv) * -signs[:, None]
+        B_inv = self.B_inv
+        B_inv.fill(0.0)
+        B_inv[np.ix_(struct, kernel)] = K_inv
+        B_inv[unit, rows] = signs
+        B_inv[np.ix_(unit, kernel)] = unit_block
+        return True
+
+    def _probe_error(self, p: int) -> float:
+        """max |B B_inv[:, p] - e_p|, with B applied column by column."""
+        struct, unit, rows, signs = self._split()
+        col = self.B_inv[:, p]
+        image = self.A[:, self.basis[struct]] @ col[struct]
+        image[rows] += signs * col[unit]
+        image[p] -= 1.0
+        return float(np.max(np.abs(image)))
+
     def _repair_basis(self) -> None:
         """Replace linearly dependent basic columns with artificials.
 
-        The repaired basis may leave an artificial at a nonzero value, i.e.
-        primal infeasible; the caller restarts from phase 1 in that case.
+        A unit column on a row that an earlier basic unit column covers is
+        dependent, and so is a structural column whose part on the uncovered
+        rows Gram-Schmidt finds in the span of the earlier ones.  Each takes
+        the artificial of an uncovered row outside that span.  The repaired
+        basis may leave an artificial at a nonzero value, i.e. primal
+        infeasible; the caller restarts from phase 1 in that case.
         """
-        m = self.m
-        B = self._basis_matrix()
-        Q = np.zeros((m, 0))
+        struct, unit, rows, _ = self._split()
+        covered = np.zeros(self.m, dtype=bool)
         dropped = []
-        for k in range(m):
-            col = B[:, k]
+        for k, row in zip(unit, rows):
+            if covered[row]:
+                dropped.append(k)
+            covered[row] = True
+        kernel = np.flatnonzero(~covered)
+        Q = np.zeros((kernel.size, 0))
+        for k, col in zip(struct, self.A[np.ix_(kernel, self.basis[struct])].T):
             r = col - Q @ (Q.T @ col)
             nrm = float(np.linalg.norm(r))
             if nrm > 1e-8 * max(1.0, float(np.linalg.norm(col))):
@@ -422,25 +473,24 @@ class _Simplex:
             out_var = int(self.basis[k])
             self._park(out_var, self.x[out_var])
             placed = False
-            for row in range(m):
-                art = self.art_start + row
-                if self.status[art] == self.BASIC:
+            for at, row in enumerate(kernel):
+                if covered[row]:
                     continue
-                col = self._column(art)
-                r = col - Q @ (Q.T @ col)
+                # the row's unit vector on the kernel rows, less its projection
+                r = -Q @ Q[at]
+                r[at] += 1.0
                 if float(np.linalg.norm(r)) > 1e-8:
                     Q = np.column_stack([Q, r / float(np.linalg.norm(r))])
+                    art = self.art_start + row
                     self.basis[k] = art
                     self.status[art] = self.BASIC
+                    covered[row] = True
                     placed = True
                     break
             if not placed:
                 raise NumericalFailure("basis repair found no replacement column")
-        B = self._basis_matrix()
-        try:
-            self.B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("basis still singular after repair") from exc
+        if not self._factor():
+            raise NumericalFailure("basis still singular after repair")
         self._recompute_basics()
         art_values = self.x[self.basis[self.basis >= self.art_start]]
         if dropped and (art_values.size and float(np.max(np.abs(art_values))) > 1e-9):
@@ -485,7 +535,7 @@ class _Simplex:
             enter, direction = self._choose_entering(d)
             if enter < 0:
                 return None  # phase optimal
-            alpha = self.B_inv @ self._column(enter)
+            alpha = self._ftran(enter)
             steps = direction * alpha
             xB = self.x[self.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -579,7 +629,7 @@ class _Simplex:
             theta_max = float(np.min((room + _OPT_TOL) / size))
             ties = np.flatnonzero(room / size <= theta_max)
             enter = int(cols[ties[np.argmax(size[ties])]])
-            alpha = self.B_inv @ self._column(enter)
+            alpha = self._ftran(enter)
             pivot = alpha[leave]
             if abs(pivot) < 1e-7 and self._since_refactor > 0:
                 self._refactor()

@@ -391,8 +391,11 @@ def branch_and_cut(
     without a proof when its point is envelope-tight, it has nothing left
     to split or its LP is unbounded; its bound then stays in ``lower``, and
     the status is ``feasible`` (``unknown`` without an incumbent) unless
-    that bound meets the incumbent within the gap.  ``nodes`` does not
-    count the root.
+    that bound meets the incumbent within the gap.  A root whose LP or cut
+    loop raises ``NumericalFailure``, is unbounded, or is infeasible while
+    the heuristic holds an incumbent proves nothing either: the solve ends
+    ``feasible`` (``unknown``) at lower ``-inf``.  ``nodes`` does not count
+    the root.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
@@ -411,9 +414,11 @@ def branch_and_cut(
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
 
     t0 = time.monotonic()
-    root, rounds = _cut_loop(rm, cb)
+    try:
+        root, _ = _cut_loop(rm, cb)
+    except NumericalFailure:
+        root = None
     root_cut_seconds = time.monotonic() - t0
-    cuts_added = sum(added for _, added in rounds)
 
     def report(status, lower):
         upper = search.upper
@@ -429,16 +434,19 @@ def branch_and_cut(
             upper=upper,
             rel_gap=relative_gap(lower, upper),
             nodes=search.nodes,
-            cuts=cuts_added,
+            # every cut the search added, at the root and in the tree
+            cuts=len(cb.cut_pool) if cb is not None else 0,
             wall_seconds=time.monotonic() - start,
             heuristic_seconds=heuristic_seconds,
             root_cut_seconds=root_cut_seconds,
         )
 
-    if root.status is LPStatus.INFEASIBLE:
+    if root is not None and root.status is LPStatus.INFEASIBLE and search.incumbent is None:
         return report("infeasible", math.inf)
-    if root.status is not LPStatus.OPTIMAL:
-        return report("unknown", -math.inf)
+    if root is None or root.status is not LPStatus.OPTIMAL:
+        # as for a failed node: the root proves no bound, and an infeasible
+        # root LP beside a feasible incumbent is a numerical failure too
+        return report("unknown" if search.incumbent is None else "feasible", -math.inf)
 
     found = _try_incumbent(pq, root.x, search.upper)
     if found is not None:
@@ -462,15 +470,13 @@ def branch_and_cut(
         ]
 
     def evaluate(node: BnBNode, bound: float):
-        nonlocal cuts_added
         rm_node = rm.clone()
         refresh_bounds(rm_node, node.overrides)
         if cb is not None and node.depth <= _IN_TREE_CUT_DEPTH:
             # add_valid_cuts installs each new cut into the root relaxation
             # too, so every later clone carries it and this node's last LP
             # stays a row prefix of its children's LPs
-            res, rounds = _cut_loop(rm_node, cb, node.start)
-            cuts_added += sum(added for _, added in rounds)
+            res, _ = _cut_loop(rm_node, cb, node.start)
         else:
             res = solve_lp(rm_node.lp, start=node.start)
         if options.node_hook is not None:

@@ -240,6 +240,69 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
     assert res.objective == pytest.approx(ref.fun, rel=1e-7)
 
 
+def _with_basis(A, basis, sigma):
+    """A cold _Simplex over A (rows A x <= 1, 0 <= x <= 1) given this basis."""
+    m, n = A.shape
+    s = simplex._Simplex(np.zeros(n), A, ["<"] * m, np.ones(m), np.zeros(n), np.ones(n))
+    s.sigma[:] = sigma
+    s.status[s.basis] = s.AT_LOWER
+    s.basis = np.asarray(basis)
+    s.status[s.basis] = s.BASIC
+    return s
+
+
+def _basis_matrix(s):
+    """structural | slack e_i | artificial sigma_i * e_i, in basis order"""
+    return np.hstack([s.A, np.eye(s.m), np.diag(s.sigma)])[:, s.basis]
+
+
+def test_kernel_factor_matches_the_dense_inverse():
+    rng = np.random.default_rng(11)
+    m, n = 40, 30
+    for _ in range(20):
+        A = rng.normal(size=(m, n))
+        k = int(rng.integers(0, 25))
+        cols = rng.choice(n, size=k, replace=False)
+        unit_rows = rng.choice(m, size=m - k, replace=False)
+        # each covered row gets its slack or its artificial, at sign -1 or +1
+        artificial = rng.random(m - k) < 0.5
+        sigma = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        units = np.where(artificial, n + m + unit_rows, n + unit_rows)
+        basis = rng.permutation(np.concatenate([cols, units]))
+        s = _with_basis(A, basis, sigma)
+        B = _basis_matrix(s)
+        assert np.linalg.cond(B) < 1e6
+        s._refactor()
+        # no repair: the basis is the one given
+        assert s.basis.tolist() == basis.tolist() and s._since_refactor == 0
+        assert np.max(np.abs(s.B_inv @ B - np.eye(m))) <= 1e-10
+        assert np.max(np.abs(s.B_inv - np.linalg.inv(B))) <= 1e-9
+
+
+@pytest.mark.parametrize("dependent", ["structurals", "slack_and_artificial"])
+def test_repair_leaves_a_nonsingular_basis(dependent):
+    rng = np.random.default_rng(5)
+    m, n = 12, 8
+    A = rng.normal(size=(m, n))
+    if dependent == "structurals":
+        A[:, 3] = 2.0 * A[:, 1]
+        # columns 1 and 3 on rows 0-3, slacks on rows 4-11
+        basis = [1, 3, 0, 2] + [n + i for i in range(4, m)]
+    else:
+        # row 5 holds its slack and its artificial, rows 0 and 1 neither
+        basis = [0, n + m + 5] + [n + i for i in range(2, m)]
+    s = _with_basis(A, basis, np.ones(m))
+    assert np.linalg.matrix_rank(_basis_matrix(s)) < m
+    try:
+        s._refactor()
+    except simplex._Restart:
+        pass  # the repaired basis is factored before the restart is raised
+    B = _basis_matrix(s)
+    assert np.linalg.matrix_rank(B) == m
+    assert np.max(np.abs(s.B_inv @ B - np.eye(m))) <= 1e-10
+    assert np.count_nonzero(s.status == s.BASIC) == m
+
+
 def test_forced_bland_reaches_phase_two(monkeypatch, h1):
     """From the second restart on, both phases of the attempt run Bland's rule."""
     worst_residual = simplex._Simplex._worst_residual

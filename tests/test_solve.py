@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -452,6 +453,30 @@ def test_failed_node_lp_keeps_its_bound(monkeypatch, h1_pq):
     assert report.lower <= report.upper
     assert report.lower == pytest.approx(-500.0, abs=1e-6)
     assert report.upper == pytest.approx(-400.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+@pytest.mark.parametrize("root_lp", ["raises", "infeasible"])
+def test_root_that_proves_nothing_keeps_the_incumbent(monkeypatch, h1_pq, root_lp, heuristic):
+    # the heuristic finds -400 through solve_arrays; every solve_lp, the
+    # root's first, fails or calls the relaxation of a feasible model
+    # infeasible, so only the incumbent survives
+    def failing(*args, **kwargs):
+        if root_lp == "raises":
+            raise NumericalFailure("forced")
+        return simplex.LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
+
+    monkeypatch.setattr(solve_module, "solve_lp", failing)
+    report = branch_and_cut(h1_pq, GapSpec(), SolveOptions(use_primal_heuristic=heuristic))
+    assert report.nodes == 0
+    if heuristic:
+        assert (report.status, report.lower) == ("feasible", -math.inf)
+        assert report.upper == pytest.approx(-400.0, abs=1e-6)
+        assert report.incumbent is not None
+    elif root_lp == "raises":
+        assert (report.status, report.lower, report.upper) == ("unknown", -math.inf, math.inf)
+    else:
+        assert (report.status, report.lower) == ("infeasible", math.inf)
 
 
 def test_failed_mip_child_keeps_the_incumbent(monkeypatch):

@@ -8,7 +8,7 @@ printed is the root bound the solver reaches.
 
 import poolblend as pb
 from poolblend.instances import haverly
-from poolblend.solve import _cut_loop
+from poolblend.solve import _cut_loop, print_cut_rounds
 
 pq = pb.build_pq(haverly())
 rm = pb.relax(pq.model)
@@ -21,13 +21,7 @@ for key, par in sorted(cb.params.items()):
 
 # each round re-optimizes from the previous optimal basis: only the new cut
 # rows move
-res, rounds = _cut_loop(rm, cb)
-for iteration, (objective, added) in enumerate(rounds):
-    print(f"Iter {iteration}: {objective}")
-    print(f"  Adding {added} cuts")
-if not rounds or rounds[-1][1]:
-    # the last LP was not separated: it is not optimal or the rounds ran out
-    print(f"Iter {len(rounds)}: {res.objective}")
+print_cut_rounds(*_cut_loop(rm, cb))
 
 print("installed gradient cuts:")
 print(cb.dump_cut_pool())

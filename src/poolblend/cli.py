@@ -15,9 +15,8 @@ from .generate import FAMILIES, GenSpec, generate_instance
 from .mccormick import relax
 from .network import Network
 from .pq import build_pq
-from .solve import GapSpec, _cut_loop, branch_and_cut, initial_primal_search
+from .solve import GapSpec, _cut_loop, branch_and_cut, initial_primal_search, print_cut_rounds
 from .cuts import add_all_pooling_inequalities
-from .simplex import LPStatus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,14 +107,7 @@ def _cmd_cutloop(args) -> int:
     """The root cut loop of branch_and_cut, one line per LP and per round."""
     pq = build_pq(_load(args.instance))
     rm = relax(pq.model)
-    res, rounds = _cut_loop(rm, add_all_pooling_inequalities(rm, pq))
-    for iteration, (objective, added) in enumerate(rounds):
-        print(f"Iter {iteration}: {objective}")
-        print(f"  Adding {added} cuts")
-    if not rounds or rounds[-1][1]:
-        # the last LP was not separated: it is not optimal or the rounds ran out
-        optimal = res.status is LPStatus.OPTIMAL
-        print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
+    print_cut_rounds(*_cut_loop(rm, add_all_pooling_inequalities(rm, pq)))
     return 0
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,6 +203,17 @@ def solve_arrays(
         result.basis[:n] = codes[:n]
         result.basis[n:][keep] = codes[n:]
     return result
+
+
+class _Split(NamedTuple):
+    """The basis by kind of column; unit columns are slacks and artificials."""
+
+    struct: np.ndarray  # basis positions of the structural columns
+    unit: np.ndarray  # basis positions of the unit columns
+    rows: np.ndarray  # the row each unit column covers
+    signs: np.ndarray  # its entry there: +1, or sigma for an artificial
+    covered: np.ndarray  # mask of the rows some unit column covers
+    kernel: np.ndarray  # the other rows
 
 
 def _start_codes(start: LPResult | None, n: int, keep: np.ndarray) -> np.ndarray | None:
@@ -372,15 +384,16 @@ class _Simplex:
         i = (j - self.n) % self.m
         return self.B_inv[:, i] * (1.0 if j < self.art_start else self.sigma[i])
 
-    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Basis positions of the structurals; positions of the unit columns
-        (slacks and artificials) with the row each covers and its sign."""
+    def _split(self) -> _Split:
+        """Where the basis keeps its structural and its unit columns."""
         basis = self.basis
         struct = np.flatnonzero(basis < self.n)
         unit = np.flatnonzero(basis >= self.n)
         rows = (basis[unit] - self.n) % self.m
         signs = np.where(basis[unit] < self.art_start, 1.0, self.sigma[rows])
-        return struct, unit, rows, signs
+        covered = np.zeros(self.m, dtype=bool)
+        covered[rows] = True
+        return _Split(struct, unit, rows, signs, covered, np.flatnonzero(~covered))
 
     def _row_activity(self, x: np.ndarray) -> np.ndarray:
         """A x + slacks + sigma * artificials, for a full-length point x."""
@@ -395,17 +408,18 @@ class _Simplex:
     def _refactor(self) -> None:
         # spot-check one column of the inverse; LAPACK returns garbage
         # silently near singularity instead of raising
+        split = self._split()
         if (
-            not self._factor()
+            not self._factor(split)
             or not np.all(np.isfinite(self.B_inv))
-            or self._probe_error(self.iterations % self.m) > 1e-6
+            or self._probe_error(split, self.iterations % self.m) > 1e-6
         ):
             self._repair_basis()
             return
         self._since_refactor = 0
         self._recompute_basics()
 
-    def _factor(self) -> bool:
+    def _factor(self, split: _Split) -> bool:
         """Write the inverse of the basis into B_inv from the inverse of its
         structural kernel.
 
@@ -415,10 +429,7 @@ class _Simplex:
         B_inv[unit, R] = -D S[U] K^-1.  Returns False, leaving B_inv as it
         was, when two unit columns cover one row or K is singular.
         """
-        struct, unit, rows, signs = self._split()
-        covered = np.zeros(self.m, dtype=bool)
-        covered[rows] = True
-        kernel = np.flatnonzero(~covered)
+        struct, unit, rows, signs, _, kernel = split
         if kernel.size != struct.size:
             return False  # a row covered twice
         cols = self.basis[struct]
@@ -434,9 +445,9 @@ class _Simplex:
         B_inv[np.ix_(unit, kernel)] = unit_block
         return True
 
-    def _probe_error(self, p: int) -> float:
+    def _probe_error(self, split: _Split, p: int) -> float:
         """max |B B_inv[:, p] - e_p|, with B applied column by column."""
-        struct, unit, rows, signs = self._split()
+        struct, unit, rows, signs, _, _ = split
         col = self.B_inv[:, p]
         image = self.A[:, self.basis[struct]] @ col[struct]
         image[rows] += signs * col[unit]
@@ -453,14 +464,9 @@ class _Simplex:
         basis may leave an artificial at a nonzero value, i.e. primal
         infeasible; the caller restarts from phase 1 in that case.
         """
-        struct, unit, rows, _ = self._split()
-        covered = np.zeros(self.m, dtype=bool)
-        dropped = []
-        for k, row in zip(unit, rows):
-            if covered[row]:
-                dropped.append(k)
-            covered[row] = True
-        kernel = np.flatnonzero(~covered)
+        struct, unit, rows, _, covered, kernel = self._split()
+        first = np.unique(rows, return_index=True)[1]
+        dropped = np.delete(unit, first).tolist()
         Q = np.zeros((kernel.size, 0))
         for k, col in zip(struct, self.A[np.ix_(kernel, self.basis[struct])].T):
             r = col - Q @ (Q.T @ col)
@@ -489,7 +495,7 @@ class _Simplex:
                     break
             if not placed:
                 raise NumericalFailure("basis repair found no replacement column")
-        if not self._factor():
+        if not self._factor(self._split()):
             raise NumericalFailure("basis still singular after repair")
         self._recompute_basics()
         art_values = self.x[self.basis[self.basis >= self.art_start]]

@@ -4,24 +4,29 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import compare  # noqa: E402
+from bench_pairs import compare, run_once  # noqa: E402
+
+SPEC = {"end_to_end": [m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+                       if m["name"] in ("wall_s", "solved")]}
+BASE_WALL = (4.0, 4.2, 4.4, 4.1, 4.3, 4.0, 4.2, 4.6, 4.1, 4.5)
+CHANGE_WALL = (2.0, 2.1, 4.5, 2.2, 2.0, 2.3, 2.1, 2.2, 2.0, 2.1)
 
 
-def _run(wall_s, solved):
-    return {"metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+def _run(wall_s, solved, failed=0):
+    return {"failed": failed,
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
                         "solved": {"value": solved, "unit": "count"}}}
 
 
 def test_wins_follow_the_better_direction():
-    spec = {"end_to_end": [m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-                           if m["name"] in ("wall_s", "solved")]}
-    base = [_run(w, 3) for w in (4.0, 4.2, 4.4, 4.1, 4.3, 4.0, 4.2, 4.6, 4.1, 4.5)]
-    change = [_run(w, s) for w, s in zip((2.0, 2.1, 4.5, 2.2, 2.0, 2.3, 2.1, 2.2, 2.0, 2.1),
-                                         (3, 3, 3, 3, 4, 3, 3, 3, 3, 2))]
-    out = compare(base, change, spec)
+    base = [_run(w, 3) for w in BASE_WALL]
+    change = [_run(w, s) for w, s in zip(CHANGE_WALL, (3, 3, 3, 3, 4, 3, 3, 3, 3, 2))]
+    out = compare(base, change, SPEC)
     wall = out["wall_s"]
     assert (wall["change_wins"], wall["change_losses"]) == (9, 1)
     assert wall["claimable"] and wall["change_vs_base"] < -0.4
@@ -30,3 +35,37 @@ def test_wins_follow_the_better_direction():
     solved = out["solved"]
     assert (solved["change_wins"], solved["change_losses"]) == (1, 1)
     assert not solved["claimable"]
+
+
+def test_no_claim_below_ten_pairs():
+    base = [_run(w, 3) for w in BASE_WALL[:3]]
+    change = [_run(w, 3) for w in (2.0, 2.1, 2.2)]
+    wall = compare(base, change, SPEC)["wall_s"]
+    assert wall["change_wins"] == 3 and not wall["claimable"]
+
+
+def test_no_claim_when_the_change_fails_more_operations():
+    base = [_run(w, 3) for w in BASE_WALL]
+    change = [_run(w, 3, failed=int(i == 4)) for i, w in enumerate(CHANGE_WALL)]
+    wall = compare(base, change, SPEC)["wall_s"]
+    assert wall["change_wins"] == 9 and not wall["claimable"]
+
+
+@pytest.mark.parametrize("failed, code, raises", [(0, 0, False), (1, 1, False), (0, 1, True)])
+def test_run_once_raises_on_an_exit_no_failure_explains(tmp_path, failed, code, raises):
+    (tmp_path / "perfbench").mkdir()
+    line = json.dumps({"attempted": 2, "failed": failed, "metrics": {}})
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\nprint({line!r})\nsys.exit({code})\n")
+    if raises:
+        with pytest.raises(RuntimeError):
+            run_once(tmp_path, "tree", 0)
+    else:
+        assert run_once(tmp_path, "tree", 0)["failed"] == failed
+
+
+def test_run_once_raises_without_a_result_line(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit('crashed')\n")
+    with pytest.raises(RuntimeError, match="crashed"):
+        run_once(tmp_path, "tree", 0)

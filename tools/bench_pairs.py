@@ -4,8 +4,9 @@
 
 exports the base commit (``--base``, default ``HEAD``) with ``git archive``
 into a temporary directory and runs ``perfbench/run.py --workload W
---seed N --seconds S`` alternately there and in this working tree, ``--pairs``
-pairs per workload; the side that runs first alternates from pair to pair.
+--seed N`` alternately there and in this working tree, ``--pairs`` pairs per
+workload, each run as long as ``run.py`` runs by default; the side that runs
+first alternates from pair to pair.  A run that crashes stops the tool.
 Each side runs the ``perfbench/`` of its own checkout, one process at a
 time.  ``git archive`` leaves nothing behind in ``.git``, where an
 interrupted ``git worktree`` would leave a stale entry.
@@ -14,9 +15,10 @@ The output holds, per workload and end-to-end metric, every run of each
 side, each side's median and quartiles (``perfbench/spread.py``'s
 ``summarize``), the change's median relative to the base's, and the pairs
 the change wins in the metric's better direction from ``BENCHMARK.json``
-(ties count for neither side).  A gain is claimed only when the change
-wins at least nine pairs in ten and the medians differ by more than the
-base's interquartile distance; ``claimable`` records that test.
+(ties count for neither side).  A gain is claimed only over at least ten
+pairs, when the change fails no more operations than the base, wins at
+least nine pairs in ten and the medians differ by more than the base's
+interquartile distance; ``claimable`` records that test.
 """
 
 from __future__ import annotations
@@ -53,16 +55,23 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in its own process; the JSON of its last line."""
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run in its own process; the JSON of its last line.
+
+    ``run.py`` exits nonzero when an operation fails; that run still counts.
+    Any other nonzero exit, or no result line, raises.
+    """
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{cmd} printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    result["exit"] = proc.returncode
+    try:
+        result = json.loads(lines[-1])
+        reported = result["failed"] > 0 and "metrics" in result
+    except (IndexError, ValueError, KeyError, TypeError):
+        result, reported = None, False
+    if result is None or (proc.returncode and not reported):
+        raise RuntimeError(f"{cmd} exited {proc.returncode}:\n{proc.stderr}")
     return result
 
 
@@ -71,6 +80,7 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     base_sum, change_sum = summarize(base), summarize(change)
+    eligible = len(base) >= 10 and sum(c["failed"] for c in change) <= sum(b["failed"] for b in base)
     out = {}
     for key, lower in lower_is_better.items():
         pairs = [(b["metrics"][key]["value"], c["metrics"][key]["value"])
@@ -87,7 +97,7 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
             "change_vs_base": (c_med - b_med) / abs(b_med) if b_med else 0.0,
             "change_wins": wins,
             "change_losses": losses,
-            "claimable": wins >= 0.9 * len(pairs)
+            "claimable": eligible and wins >= 0.9 * len(pairs)
             and abs(c_med - b_med) > base_sum[key]["q3"] - base_sum[key]["q1"],
         }
     return out
@@ -99,12 +109,11 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    ledger = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
+    ledger = {"seed": args.seed, "pairs": args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = Path(tmp)
         ledger["base"] = export(args.base, base_dir)
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
                     checkout = base_dir if side == "base" else ROOT
-                    runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
+                    runs[side].append(run_once(checkout, workload, args.seed))
                     values = runs[side][-1]["metrics"]
                     print(f"{workload} pair {pair} {side:6s} "
                           f"wall_s {values['wall_s']['value']:.4g} "

@@ -18,14 +18,15 @@ inverts only the structural kernel, the basic structural columns on the
 rows that no basic unit column covers, and assembles the explicit basis
 inverse blockwise from it (Suhl & Suhl's triangular pre-pass over the unit
 columns): O(k^3 + (m-k) k^2) for k basic structurals, against O(m^3) for
-the whole basis.  Between refactors the inverse gets its rank-1 update on
-the nonzero support of the pivot column and pivot row only; the skipped
-entries would subtract exact zeros, so the inverse, and with it the pivot
-sequence, is the same as under a dense update.  Entering variable: most
-negative reduced-cost direction (Dantzig) over the columns that can move,
-so fixed structurals, equality-row slacks and phase-2 artificials are never
-priced, with a permanent switch to Bland's rule after 5*(m+n) degenerate
-pivots so cycling cannot occur.  Leaving variable: Harris's two-pass ratio
+the whole basis.  Between refactors the inverse gets a rank-1 update: the
+whole outer product when the nonzero supports of the pivot column and pivot
+row span more than 1/8 of B_inv, else only the entries on that support.
+The skipped entries would subtract exact zeros, so both kernels give the
+same inverse up to the sign of a zero, and the same pivots.  Entering
+variable: most negative reduced-cost direction (Dantzig) over the columns
+that can move, so fixed structurals, equality-row slacks and phase-2
+artificials are never priced, with a permanent switch to Bland's rule after
+5*(m+n) degenerate pivots so cycling cannot occur.  Leaving variable: Harris's two-pass ratio
 test with an absolute tolerance, so no basic variable passes a bound by
 more than 1e-9; among the rows that block within that step the largest
 pivot wins.  Deterministic for a fixed input: all ties break on the lowest
@@ -41,11 +42,17 @@ bounded dual phase then restores primal feasibility: the basic variable
 with the largest bound violation leaves, its pivot row is B_inv[r] times
 [A | I], and Harris's two-pass ratio test on |d_j|/|alpha_rj| picks the
 entering column, the largest |alpha_rj| among the ties; fixed columns never
-enter.  Primal phase 2 then cleans up drift, followed by the same final
-refactor and residual checks as a cold solve.  Both phases pivot through one
-update routine.  A start that does not fit, and a warm solve that ends in
-anything but a verified optimum, fall back to the cold two-phase solve, so a
-start can change time and pivots but never the status.
+enter.  The reduced costs d are formed once per factor and then updated from
+each pivot row.  A violated row that no column can fix is checked on a fresh
+factor as a Farkas certificate (Koberstein's dual ray): when no point of the
+nonbasic boxes brings its basic variable within bounds, the solve ends
+INFEASIBLE.  Otherwise primal phase 2 cleans up drift, followed by the same
+final refactor and residual checks as a cold solve.  Both phases pivot
+through one update routine.  A start that does not fit, and a warm solve
+that ends in neither a verified optimum nor that proof, fall back to the
+cold two-phase solve.  The proof asks for a miss beyond the residual at
+which a cold phase 1 reports infeasibility, so a start can change time and
+pivots but not the status.
 """
 
 from __future__ import annotations
@@ -67,6 +74,10 @@ _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-10
 _REFACTOR_EVERY = 100
+# the rank-1 update subtracts the whole outer product once its support covers
+# more than 1/_DENSE_UPDATE of B_inv: one BLAS-speed pass beats the gather
+# and scatter of np.ix_ there
+_DENSE_UPDATE = 8
 
 
 class LPStatus(Enum):
@@ -110,20 +121,18 @@ class LPArrays:
         c = np.zeros(n)
         for var_id, coeff in model.objective.terms.items():
             c[var_id] = coeff
-        rows, senses, b = [], [], []
-        for con in model.constraints.values():
-            if not con.active:
-                continue
+        active = [con for con in model.constraints.values() if con.active]
+        A = np.zeros((len(active), n))
+        b = np.empty(len(active))
+        senses = []
+        for i, con in enumerate(active):
             if con.bilinear:
                 raise ValueError(f"constraint {con.name!r} has bilinear terms; relax first")
-            row = np.zeros(n)
-            for var_id, coeff in con.linear.terms.items():
-                row[var_id] = coeff
-            rows.append(row)
+            terms = con.linear.terms
+            A[i, list(terms)] = list(terms.values())
             senses.append({"<=": "<", "==": "=", ">=": ">"}[con.sense.value])
-            b.append(con.rhs - con.linear.constant)
-        A = np.asarray(rows) if rows else np.zeros((0, n))
-        return cls(c, A, senses, np.asarray(b, dtype=float), lo, up, model.objective.constant)
+            b[i] = con.rhs - con.linear.constant
+        return cls(c, A, senses, b, lo, up, model.objective.constant)
 
 
 def solve_lp(
@@ -149,10 +158,11 @@ def solve_arrays(
     With ``start``, an optimal result over the same columns and a prefix of
     these rows, the solve re-optimizes from ``start.basis``: rows it has not
     seen enter with their slack basic, a dual phase restores primal
-    feasibility and primal phase 2 finishes.  A start that does not fit, or a
-    warm solve that ends in anything but a verified optimum, falls back to the
-    cold solve, so ``start`` can change the time and the pivot count but
-    never the status.  Without ``start`` the solve is cold.
+    feasibility or proves the rows infeasible, and primal phase 2 finishes.
+    A start that does not fit, or a warm solve that ends in neither a
+    verified optimum nor a proof of infeasibility, falls back to the cold
+    solve, so ``start`` can change the time and the pivot count but not the
+    status.  Without ``start`` the solve is cold.
     """
     lo = arrays.lo.copy()
     up = arrays.up.copy()
@@ -258,15 +268,9 @@ class _Simplex:
         self.N = N
         self.A = np.ascontiguousarray(A, dtype=float)
         self.sigma = np.ones(m)  # artificial i is sigma[i] * e_i
-        slack_lo = np.zeros(m)
-        slack_up = np.zeros(m)
-        for i, sense in enumerate(senses):
-            if sense == "<":
-                slack_lo[i], slack_up[i] = 0.0, math.inf
-            elif sense == ">":
-                slack_lo[i], slack_up[i] = -math.inf, 0.0
-            else:
-                slack_lo[i], slack_up[i] = 0.0, 0.0
+        kinds = np.array(senses, dtype=str)
+        slack_lo = np.where(kinds == ">", -math.inf, 0.0)
+        slack_up = np.where(kinds == "<", math.inf, 0.0)
         self.lo = np.concatenate([lo, slack_lo, np.zeros(m)])
         self.up = np.concatenate([up, slack_up, np.full(m, math.inf)])
         self.b = b.astype(float)
@@ -275,8 +279,8 @@ class _Simplex:
 
         self.status = np.empty(N, dtype=np.int8)
         self.x = np.zeros(N)
-        for j in range(n + m):
-            self._park(j, self.lo[j])
+        every = np.arange(n + m)
+        self._park(every, self.lo[every])
         self.basis = np.arange(self.art_start, self.art_start + m)
         self.iterations = 0
         self.max_iterations = 20000 + 60 * (m + n)
@@ -295,9 +299,8 @@ class _Simplex:
         an artificial, so phase 1 usually has little or nothing to do.
         """
         m, n = self.m, self.n
-        for j in range(n + m):
-            if self.status[j] == self.BASIC:
-                self._park(j, self.x[j])
+        basic = np.flatnonzero(self.status[: n + m] == self.BASIC)
+        self._park(basic, self.x[basic])
         self.lo[self.art_start :] = 0.0
         self.up[self.art_start :] = math.inf
         resid = self.b - self.A @ self.x[:n]
@@ -340,17 +343,14 @@ class _Simplex:
         self.x[self.art_start :] = 0.0
         self.status[self.art_start :] = self.AT_LOWER
         # __init__ parked every column at its lower bound (or nearest finite)
-        for j in np.flatnonzero(codes[:n] == self.AT_UPPER):
-            self._park(j, self.up[j])
-        structural = iter(np.flatnonzero(codes[:n] == self.BASIC))
+        upper = np.flatnonzero(codes[:n] == self.AT_UPPER)
+        self._park(upper, self.up[upper])
+        slack = codes[n:] == self.BASIC
+        art = codes[n:] == self.ARTIFICIAL
         self.basis = np.empty(m, dtype=int)
-        for i, code in enumerate(codes[n:]):
-            if code == self.BASIC:
-                self.basis[i] = n + i
-            elif code == self.ARTIFICIAL:
-                self.basis[i] = self.art_start + i
-            else:
-                self.basis[i] = next(structural)
+        self.basis[slack] = n + np.flatnonzero(slack)
+        self.basis[art] = self.art_start + np.flatnonzero(art)
+        self.basis[~(slack | art)] = np.flatnonzero(codes[:n] == self.BASIC)
         self.status[self.basis] = self.BASIC
         self.B_inv = np.empty((m, m))  # run_warm factors the basis into it
         self.degenerate_pivots = 0
@@ -366,15 +366,18 @@ class _Simplex:
 
     # -- helpers --------------------------------------------------------
 
-    def _park(self, j: int, value: float) -> None:
-        """Make j nonbasic at its finite bound nearest value, else free at 0."""
+    def _park(self, j, value) -> None:
+        """Make column j nonbasic at its finite bound nearest value, else free
+        at 0; j and value may be matching arrays."""
         lo, up = self.lo[j], self.up[j]
-        if math.isfinite(lo) and (not math.isfinite(up) or abs(value - lo) <= abs(value - up)):
-            self.x[j], self.status[j] = lo, self.AT_LOWER
-        elif math.isfinite(up):
-            self.x[j], self.status[j] = up, self.AT_UPPER
-        else:
-            self.x[j], self.status[j] = 0.0, self.FREE
+        lo_ok, up_ok = np.isfinite(lo), np.isfinite(up)
+        with np.errstate(invalid="ignore"):  # inf - inf where lo_ok is False
+            at_lo = lo_ok & (~up_ok | (np.abs(value - lo) <= np.abs(value - up)))
+        at_up = ~at_lo & up_ok
+        self.x[j] = np.where(at_lo, lo, np.where(at_up, up, 0.0))
+        self.status[j] = np.where(
+            at_lo, self.AT_LOWER, np.where(at_up, self.AT_UPPER, self.FREE)
+        )
 
     def _ftran(self, j: int) -> np.ndarray:
         """B_inv times column j; slack i is e_i and artificial i sigma_i * e_i,
@@ -584,34 +587,43 @@ class _Simplex:
             self._count_degenerate(t_leave)
             self._pivot(leave, enter, alpha, direction * t_leave, hit_lower=steps[leave] > 0)
 
-    def _dual_phase(self) -> bool:
+    def _dual_phase(self) -> LPStatus | None:
         """Bounded dual simplex on the real costs until the basis is primal
         feasible.
 
         Leaving: the basic variable with the largest bound violation.  Its
-        pivot row is B_inv[r] [A | I | diag(sigma)].  Entering: Harris's
-        two-pass ratio test on |d_j| / |alpha_rj| over the nonbasic columns
-        whose move drives the leaving variable toward its violated bound;
-        among the ties the largest |alpha_rj| wins, and fixed columns never
-        enter.  Returns False when no column qualifies (the LP is infeasible,
-        or the start was not dual feasible) or after 5*(m+n) pivots.
+        pivot row is alpha_r = B_inv[r] [A | I | diag(sigma)].  Entering:
+        Harris's two-pass ratio test on |d_j| / |alpha_rj| over the nonbasic
+        columns whose move drives the leaving variable toward its violated
+        bound; among the ties the largest |alpha_rj| wins, and fixed columns
+        never enter.  The reduced costs d are formed once per factor and then
+        updated from the pivot row, d -= d_q / alpha_rq * alpha_r.
+
+        Returns OPTIMAL once the basis is primal feasible, INFEASIBLE when a
+        row with no entering column is, on a fresh factor, a certificate
+        (``_proves_infeasible``), and None when it is not one or after
+        5*(m+n) pivots.  A row with no entering column proves infeasibility
+        whatever the reduced costs are, so the start need not be dual
+        feasible for that.
         """
         c = self.c_real
         movable = self.lo != self.up
         limit = self.iterations + 5 * (self.m + self.n)
+        d = None  # reduced costs, formed again after each refactor
         while True:
             self.iterations += 1
             if self.iterations > limit:
-                return False
+                return None
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactor()
+                d = None
             xB = self.x[self.basis]
             below = self.lo[self.basis] - xB
             above = xB - self.up[self.basis]
             leave = int(np.argmax(np.maximum(below, above)))
             rising = below[leave] > above[leave]
             if max(below[leave], above[leave]) <= _FEAS_TOL:
-                return True
+                return LPStatus.OPTIMAL
             rho = self.B_inv[leave]
             alpha_r = np.concatenate([rho @ self.A, rho, self.sigma * rho])
             # moving x_j by +1 moves the leaving variable by -alpha_rj
@@ -624,8 +636,14 @@ class _Simplex:
             )
             cand |= free & (np.abs(alpha_r) > _PIVOT_TOL)
             if not cand.any():
-                return False
-            d = self._reduced_costs(c, c[self.basis] @ self.B_inv)
+                if self._since_refactor > 0:
+                    self._refactor()  # judge the row on a fresh factor
+                    d = None
+                    continue
+                proof = self._proves_infeasible(leave, alpha_r, rising)
+                return LPStatus.INFEASIBLE if proof else None
+            if d is None:
+                d = self._reduced_costs(c, c[self.basis] @ self.B_inv)
             cols = np.flatnonzero(cand)
             # |d_j| on the dual feasible side: how far d_j may travel to zero
             room = np.where(at_up[cols], -d[cols], d[cols])
@@ -639,19 +657,49 @@ class _Simplex:
             pivot = alpha[leave]
             if abs(pivot) < 1e-7 and self._since_refactor > 0:
                 self._refactor()
+                d = None
                 continue
             out_var = int(self.basis[leave])
             target = self.lo[out_var] if rising else self.up[out_var]
-            self._pivot(leave, enter, alpha, (xB[leave] - target) / pivot, hit_lower=rising)
+            if self._pivot(leave, enter, alpha, (xB[leave] - target) / pivot, hit_lower=rising):
+                d -= d[enter] / alpha_r[enter] * alpha_r
+            else:
+                d = None
+
+    def _proves_infeasible(self, leave: int, alpha_r: np.ndarray, rising: bool) -> bool:
+        """Whether pivot row alpha_r of basis position ``leave`` is a Farkas
+        certificate against the nonbasic boxes.
+
+        Every point of the rows has x_B[leave] = rho b - sum_N alpha_rj x_j,
+        with rho = B_inv[leave].  Setting each nonbasic column with
+        alpha_rj != 0 to the bound of its box that moves x_B[leave] furthest
+        toward the bound it violates gives the nearest value it can reach;
+        an infinite bound there proves nothing.  The proof needs that value
+        to miss the bound by more than 1e-7 * max(1, |b|_max) * |rho|_max:
+        then every point of the boxes leaves the rows a total residual above
+        phase 1's infeasibility threshold, so a cold solve agrees.
+        """
+        out_var = int(self.basis[leave])
+        rho = self.B_inv[leave]
+        nonbasic = (self.status != self.BASIC) & (alpha_r != 0.0)
+        a = alpha_r[nonbasic]
+        # raising x_j lowers x_B[leave] when alpha_rj > 0
+        bound = np.where((a > 0) == rising, self.lo[nonbasic], self.up[nonbasic])
+        if not np.all(np.isfinite(bound)):
+            return False
+        reach = float(rho @ self.b - a @ bound)
+        miss = self.lo[out_var] - reach if rising else reach - self.up[out_var]
+        scale = max(1.0, float(np.max(np.abs(self.b))))
+        return miss > 1e-7 * scale * float(np.max(np.abs(rho)))
 
     def _pivot(
         self, leave: int, enter: int, alpha: np.ndarray, step: float, hit_lower: bool
-    ) -> None:
+    ) -> bool:
         """Move `enter` by step into basis position `leave`.
 
         The basic variables move by -step * alpha, the leaving one rests at
-        the bound it hit, and the inverse gets its rank-1 update on the
-        nonzero support (a refactor when the pivot is tiny).
+        the bound it hit, and the inverse gets its rank-1 update.  Returns
+        False when the pivot is tiny and the basis was refactored instead.
         """
         out_var = int(self.basis[leave])
         self.x[self.basis] -= step * alpha
@@ -663,15 +711,19 @@ class _Simplex:
         pivot = alpha[leave]
         if abs(pivot) < _PIVOT_TOL:
             self._refactor()
-            return
-        # rank-1 update on the nonzero support: every skipped entry would
-        # subtract an exact zero
+            return False
+        # off the nonzero support of alpha and row the update subtracts exact
+        # zeros, so both kernels give the same inverse up to the sign of a zero
         row = self.B_inv[leave, :] / pivot
         rows = np.flatnonzero(alpha)
         cols = np.flatnonzero(row)
-        self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
+        if _DENSE_UPDATE * rows.size * cols.size > self.m * self.m:
+            self.B_inv -= np.outer(alpha, row)
+        else:
+            self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
         self.B_inv[leave, :] = row
         self._since_refactor += 1
+        return True
 
     def _reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d = c - y [A | I | diag(sigma)], without forming the m x N matrix."""
@@ -720,11 +772,16 @@ class _Simplex:
 
     def run_warm(self) -> LPResult | None:
         """Factor the installed basis, restore primal feasibility with the
-        dual phase, then finish with primal phase 2.  None unless that ends in
-        a verified optimum; the caller then solves cold."""
+        dual phase, then finish with primal phase 2.  Returns a verified
+        optimum, or INFEASIBLE when the dual phase proves it; None otherwise,
+        and the caller then solves cold."""
         try:
             self._refactor()
-            if not self._dual_phase():
+            status = self._dual_phase()
+            if status is LPStatus.INFEASIBLE:
+                x = self.x[: self.n_struct].copy()
+                return LPResult(LPStatus.INFEASIBLE, math.inf, x, self.iterations)
+            if status is None:
                 return None
             result = self._phase_two()
         except (_Restart, NumericalFailure):

@@ -39,6 +39,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cuts import CutBlock, add_all_pooling_inequalities, add_valid_cuts
 from .errors import NonLinearSideConstraints, NumericalFailure
 from .mccormick import RelaxedModel, refresh_bounds, relax
@@ -103,7 +105,8 @@ def relative_gap(a: float, b: float) -> float:
 class MIPResult:
     status: str  # optimal | feasible | infeasible | no_feasible_found
     objective: float
-    incumbent: dict[int, float] | None
+    # the LP point, indexed by variable id, with its binaries rounded
+    incumbent: np.ndarray | None
     lower_bound: float
     nodes: int
 
@@ -197,9 +200,8 @@ def solve_mip(model: Model, gap: GapSpec | None = None) -> MIPResult:
     binaries = [v.id for v in model.variables if v.domain is Domain.BINARY]
 
     def accept(res: LPResult) -> None:
-        incumbent = {v.id: float(res.x[v.id]) for v in model.variables}
-        for b in binaries:
-            incumbent[b] = float(round(incumbent[b]))
+        incumbent = res.x.copy()
+        incumbent[binaries] = np.round(incumbent[binaries])
         search.offer(incumbent, res.objective)
 
     def evaluate(node, bound):

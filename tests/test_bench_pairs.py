@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py counts wins per pair in each metric's better direction."""
+"""tools/bench_pairs.py counts wins per pair in each metric's better direction
+and judges each metric against its bound."""
 
 import json
 import sys
@@ -15,6 +16,8 @@ SPEC = {"end_to_end": [m for m in json.loads((ROOT / "BENCHMARK.json").read_text
                        if m["name"] in ("wall_s", "solved")]}
 BASE_WALL = (4.0, 4.2, 4.4, 4.1, 4.3, 4.0, 4.2, 4.6, 4.1, 4.5)
 CHANGE_WALL = (2.0, 2.1, 4.5, 2.2, 2.0, 2.3, 2.1, 2.2, 2.0, 2.1)
+# quartiles 2.88 and 5.13 around a median of 4.1: wider than the 0.25 bound
+WIDE_WALL = (2.0, 6.0, 3.0, 5.0, 4.0, 2.5, 5.5, 3.5, 4.5, 4.2)
 
 
 def _run(wall_s, solved, failed=0):
@@ -30,11 +33,26 @@ def test_wins_follow_the_better_direction():
     wall = out["wall_s"]
     assert (wall["change_wins"], wall["change_losses"]) == (9, 1)
     assert wall["claimable"] and wall["change_vs_base"] < -0.4
+    assert wall["regressed"] is False
     assert wall["base"]["runs"][2] == 4.4 and wall["change"]["runs"][2] == 4.5
     # higher is better for solved: one win, one loss, eight ties
     solved = out["solved"]
     assert (solved["change_wins"], solved["change_losses"]) == (1, 1)
     assert not solved["claimable"]
+
+
+@pytest.mark.parametrize("key, base, change, verdict", [
+    ("wall_s", BASE_WALL, 5.6, True),  # +33% against a bound of 25%
+    ("wall_s", BASE_WALL, 5.0, False),  # +19%
+    ("wall_s", WIDE_WALL, 5.6, "unresolved"),
+    ("wall_s", WIDE_WALL, 1.5, False),  # every change run beats every base run
+    ("solved", (3,) * 10, 2, True),  # higher is better
+])
+def test_regression_against_the_bound(key, base, change, verdict):
+    other = "solved" if key == "wall_s" else "wall_s"
+    base_runs = [_run(**{key: v, other: 3}) for v in base]
+    change_runs = [_run(**{key: change, other: 3}) for _ in base]
+    assert compare(base_runs, change_runs, SPEC)[key]["regressed"] == verdict
 
 
 def test_no_claim_below_ten_pairs():

@@ -197,22 +197,33 @@ def test_objective_constant_carries_through():
     assert res.objective == pytest.approx(5.0)
 
 
-def test_sparse_inverse_update_stays_exact(monkeypatch):
-    """With refactoring off, the rank-1 updates alone carry B_inv to the end."""
-    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
-    rng = np.random.default_rng(7)
-    m, n = 300, 200
-    A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.03)
+def _boxed_lp(seed, m, n, density):
+    """Random rows at the given density, with the rhs at an interior point
+    and loosened on the inequality rows."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < density)
     lo = rng.uniform(-2.0, 0.0, size=n)
     up = lo + rng.uniform(0.5, 3.0, size=n)
     c = rng.normal(size=n)
     senses = [("<", ">", "=")[k] for k in rng.choice(3, size=m, p=[0.45, 0.45, 0.1])]
-    # rhs at an interior point, loosened on the inequality rows
     slack_sign = np.array([{"<": 1.0, ">": -1.0, "=": 0.0}[s] for s in senses])
     b = A @ ((lo + up) / 2.0) + slack_sign * rng.uniform(0.0, 0.5, size=m)
+    return LPArrays(c, A, senses, b, lo, up)
 
-    snapshots = []
-    phase = simplex._Simplex._phase
+
+# (seed, m, n, density)
+SPARSE_LP = (7, 300, 200, 0.03)
+DENSE_LP = (5, 120, 80, 0.3)
+
+
+def test_sparse_inverse_update_stays_exact(monkeypatch):
+    """With refactoring off, the rank-1 updates alone carry B_inv to the end.
+
+    Without refactors B_inv fills in, so both inputs mix the two kernels;
+    the dense input takes the dense kernel on most of its updates.
+    """
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
+    phase, pivot = simplex._Simplex._phase, simplex._Simplex._pivot
 
     def recording_phase(self, costs):
         status = phase(self, costs)
@@ -221,23 +232,48 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
         )
         return status
 
+    def counting_pivot(self, leave, enter, alpha, step, hit_lower):
+        support = np.count_nonzero(alpha) * np.count_nonzero(self.B_inv[leave])
+        dense.append(simplex._DENSE_UPDATE * support > self.m * self.m)
+        return pivot(self, leave, enter, alpha, step, hit_lower)
+
     monkeypatch.setattr(simplex._Simplex, "_phase", recording_phase)
-    arrays = LPArrays(c, A, senses, b, lo, up)
-    res = solve_arrays(arrays)
-    assert res.status is LPStatus.OPTIMAL
+    monkeypatch.setattr(simplex._Simplex, "_pivot", counting_pivot)
+    for spec in (SPARSE_LP, DENSE_LP):
+        snapshots, dense = [], []
+        arrays = _boxed_lp(*spec)
+        res = solve_arrays(arrays)
+        assert res.status is LPStatus.OPTIMAL
+        if spec is DENSE_LP:
+            assert sum(dense) >= 100
 
-    # the last phase ends on an inverse built by updates alone
-    A_kept, B_inv, basis, sigma, updates = snapshots[-1]
-    assert updates >= 100
-    # structural | slack e_i | artificial sigma_i * e_i, over the rows the
-    # simplex carries (singleton rows were folded into the bounds)
-    m_kept = A_kept.shape[0]
-    B = np.hstack([A_kept, np.eye(m_kept), np.diag(sigma)])[:, basis]
-    assert np.max(np.abs(B_inv @ B - np.eye(m_kept))) <= 1e-8
+        # the last phase ends on an inverse built by updates alone
+        A_kept, B_inv, basis, sigma, updates = snapshots[-1]
+        assert updates >= 100
+        # structural | slack e_i | artificial sigma_i * e_i, over the rows the
+        # simplex carries (singleton rows were folded into the bounds)
+        m_kept = A_kept.shape[0]
+        B = np.hstack([A_kept, np.eye(m_kept), np.diag(sigma)])[:, basis]
+        assert np.max(np.abs(B_inv @ B - np.eye(m_kept))) <= 1e-8
 
-    ref = _highs(arrays)
-    assert ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, rel=1e-7)
+        ref = _highs(arrays)
+        assert ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def test_both_update_kernels_give_the_same_solve(monkeypatch):
+    """The dense and the support kernel differ only in the sign of zeros."""
+    arrays = _boxed_lp(*DENSE_LP)
+    results = []
+    for factor in (0, 10**9):  # only the support kernel; the dense one whenever it can
+        monkeypatch.setattr(simplex, "_DENSE_UPDATE", factor)
+        results.append(solve_arrays(arrays))
+    support, dense = results
+    assert support.status is dense.status is LPStatus.OPTIMAL
+    assert support.objective == dense.objective
+    assert support.x.tobytes() == dense.x.tobytes()
+    assert support.iterations == dense.iterations
+    assert np.array_equal(support.basis, dense.basis)
 
 
 def _with_basis(A, basis, sigma):
@@ -426,7 +462,32 @@ def test_infeasible_appended_row_matches_cold(warm_outcomes):
     m.add_constraint("cut", LinearExpr({x.id: 1.0, y.id: 1.0}), Sense.GE, 7.0)
     warm = solve_lp(m, start=first)
     assert warm.status is solve_lp(m).status is LPStatus.INFEASIBLE
-    assert warm_outcomes == [None]  # the dual phase finds no entering column
+    # the dual phase finds no entering column, and the cut's row proves it
+    assert [r.status for r in warm_outcomes] == [LPStatus.INFEASIBLE]
+
+
+@pytest.mark.parametrize("z_up", [10.0, math.inf])
+def test_no_proof_through_an_infinite_bound(warm_outcomes, z_up):
+    # z could fix the cut only by rising past 1e11, and its coefficient is
+    # below the pivot tolerance, so no column enters; a finite upper bound on
+    # z still proves infeasibility, an infinite one leaves it to the cold solve
+    m = Model("t")
+    x = m.add_variable("x", 0.0, 3.0)
+    y = m.add_variable("y", 0.0, 3.0)
+    z = m.add_variable("z", 0.0, z_up)
+    m.add_constraint("cap", LinearExpr({x.id: 1.0, y.id: 1.0}), Sense.LE, 5.0)
+    m.objective = LinearExpr({x.id: -1.0, y.id: -2.0})
+    first = solve_lp(m)
+    assert first.status is LPStatus.OPTIMAL
+    m.add_constraint("cut", LinearExpr({x.id: 1.0, y.id: 1.0, z.id: 1e-11}), Sense.GE, 7.0)
+    warm = solve_lp(m, start=first)
+    cold = solve_lp(m)
+    assert warm.status is cold.status
+    if math.isfinite(z_up):
+        assert [r.status for r in warm_outcomes] == [LPStatus.INFEASIBLE]
+    else:
+        assert warm_outcomes == [None]
+        assert warm.x.tobytes() == cold.x.tobytes()
 
 
 def test_start_that_does_not_fit_solves_cold(h1):

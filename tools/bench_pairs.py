@@ -18,7 +18,12 @@ the change wins in the metric's better direction from ``BENCHMARK.json``
 (ties count for neither side).  A gain is claimed only over at least ten
 pairs, when the change fails no more operations than the base, wins at
 least nine pairs in ten and the medians differ by more than the base's
-interquartile distance; ``claimable`` records that test.
+interquartile distance; ``claimable`` records that test.  ``regressed``
+records whether the change's median is worse than the base's by more than
+the metric's bound, or "unresolved" when the base's interquartile distance
+is wider than the bound and not every change run beats every base run.
+Each run's pass count, ``attempted`` over the workload's instances, is
+printed with its reading and kept in the ledger.
 """
 
 from __future__ import annotations
@@ -88,17 +93,25 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
         wins = sum(c < b if lower else c > b for b, c in pairs)
         losses = sum(c > b if lower else c < b for b, c in pairs)
         b_med, c_med = base_sum[key]["median"], change_sum[key]["median"]
+        change_vs_base = (c_med - b_med) / abs(b_med) if b_med else 0.0
+        b_runs, c_runs = [b for b, _ in pairs], [c for _, c in pairs]
+        beats_all = max(c_runs) < min(b_runs) if lower else min(c_runs) > max(b_runs)
+        if base_sum[key]["spread"] > bounds[key] and not beats_all:
+            regressed = "unresolved"
+        else:
+            regressed = (change_vs_base if lower else -change_vs_base) > bounds[key]
         out[key] = {
             "unit": base_sum[key]["unit"],
             "better": "lower" if lower else "higher",
             "bound": bounds[key],
-            "base": {**base_sum[key], "runs": [b for b, _ in pairs]},
-            "change": {**change_sum[key], "runs": [c for _, c in pairs]},
-            "change_vs_base": (c_med - b_med) / abs(b_med) if b_med else 0.0,
+            "base": {**base_sum[key], "runs": b_runs},
+            "change": {**change_sum[key], "runs": c_runs},
+            "change_vs_base": change_vs_base,
             "change_wins": wins,
             "change_losses": losses,
             "claimable": eligible and wins >= 0.9 * len(pairs)
             and abs(c_med - b_med) > base_sum[key]["q3"] - base_sum[key]["q1"],
+            "regressed": regressed,
         }
     return out
 
@@ -112,6 +125,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    sys.path.insert(0, str(ROOT / "src"))
+    from workloads import WORKLOADS
+
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ledger = {"seed": args.seed, "pairs": args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -122,19 +138,24 @@ def main(argv=None) -> int:
             "uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
         }
         for workload in args.workload:
+            instances = len(WORKLOADS[workload].specs)
             runs = {"base": [], "change": []}
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
                     checkout = base_dir if side == "base" else ROOT
                     runs[side].append(run_once(checkout, workload, args.seed))
-                    values = runs[side][-1]["metrics"]
+                    result = runs[side][-1]
+                    values = result["metrics"]
                     print(f"{workload} pair {pair} {side:6s} "
                           f"wall_s {values['wall_s']['value']:.4g} "
-                          f"peak_rss_mb {values['peak_rss_mb']['value']:.4g}", flush=True)
+                          f"peak_rss_mb {values['peak_rss_mb']['value']:.4g} "
+                          f"passes {result['attempted'] // instances}", flush=True)
             ledger["workloads"][workload] = {
                 "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
                 "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+                "passes": {side: [r["attempted"] // instances for r in rs]
+                           for side, rs in runs.items()},
                 "metrics": compare(runs["base"], runs["change"], spec),
             }
     Path(args.out).write_text(json.dumps(ledger, indent=1) + "\n")
@@ -142,7 +163,7 @@ def main(argv=None) -> int:
         for key, m in entry["metrics"].items():
             print(f"{workload:9s} {key:12s} base {m['base']['median']:10.5g} "
                   f"change {m['change']['median']:10.5g} ({m['change_vs_base']:+.1%}) "
-                  f"wins {m['change_wins']}/{args.pairs}")
+                  f"wins {m['change_wins']}/{args.pairs} regressed {m['regressed']}")
     return 0
 
 

@@ -19,18 +19,19 @@ rows that no basic unit column covers, and assembles the explicit basis
 inverse blockwise from it (Suhl & Suhl's triangular pre-pass over the unit
 columns): O(k^3 + (m-k) k^2) for k basic structurals, against O(m^3) for
 the whole basis.  Between refactors the inverse gets a rank-1 update: the
-whole outer product when the nonzero supports of the pivot column and pivot
-row span more than 1/8 of B_inv, else only the entries on that support.
-The skipped entries would subtract exact zeros, so both kernels give the
-same inverse up to the sign of a zero, and the same pivots.  Entering
-variable: most negative reduced-cost direction (Dantzig) over the columns
-that can move, so fixed structurals, equality-row slacks and phase-2
-artificials are never priced, with a permanent switch to Bland's rule after
-5*(m+n) degenerate pivots so cycling cannot occur.  Leaving variable: Harris's two-pass ratio
-test with an absolute tolerance, so no basic variable passes a bound by
-more than 1e-9; among the rows that block within that step the largest
-pivot wins.  Deterministic for a fixed input: all ties break on the lowest
-variable index.
+whole outer product, in slabs of rows, when the nonzero supports of the
+pivot column and pivot row span more than 1/4 of B_inv, else only the
+entries on that support.  The skipped entries would subtract exact zeros,
+so both kernels give the same inverse up to the sign of a zero, and the
+same pivots.  Entering variable: most negative reduced-cost direction
+(Dantzig) over the columns that can move, so fixed structurals,
+equality-row slacks and phase-2 artificials are never priced, with a
+permanent switch to Bland's rule after 5*(m+n) degenerate pivots so cycling
+cannot occur.  Leaving variable: Harris's two-pass ratio test with an
+absolute tolerance, so no basic variable passes a bound by more than 1e-9;
+among the rows that block within that step the largest pivot wins.
+Deterministic for a fixed input: all ties break on the lowest variable
+index.
 
 An optimal result carries its basis (``LPResult.basis``): one int8 status
 per structural column and one per ``LPArrays`` row for its slack, with a
@@ -75,9 +76,11 @@ _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-10
 _REFACTOR_EVERY = 100
 # the rank-1 update subtracts the whole outer product once its support covers
-# more than 1/_DENSE_UPDATE of B_inv: one BLAS-speed pass beats the gather
-# and scatter of np.ix_ there
-_DENSE_UPDATE = 8
+# more than 1/_DENSE_UPDATE of B_inv: contiguous passes beat the gather and
+# scatter of np.ix_ there.  It goes _SLAB rows at a time, so the temporary
+# stays in cache when B_inv does not (m in the hundreds)
+_DENSE_UPDATE = 4
+_SLAB = 128
 
 
 class LPStatus(Enum):
@@ -718,7 +721,8 @@ class _Simplex:
         rows = np.flatnonzero(alpha)
         cols = np.flatnonzero(row)
         if _DENSE_UPDATE * rows.size * cols.size > self.m * self.m:
-            self.B_inv -= np.outer(alpha, row)
+            for i in range(0, self.m, _SLAB):
+                self.B_inv[i : i + _SLAB] -= np.outer(alpha[i : i + _SLAB], row)
         else:
             self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
         self.B_inv[leave, :] = row

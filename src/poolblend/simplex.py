@@ -676,11 +676,12 @@ class _Simplex:
         Every point of the rows has x_B[leave] = rho b - sum_N alpha_rj x_j,
         with rho = B_inv[leave].  Setting each nonbasic column with
         alpha_rj != 0 to the bound of its box that moves x_B[leave] furthest
-        toward the bound it violates gives the nearest value it can reach;
-        an infinite bound there proves nothing.  The proof needs that value
-        to miss the bound by more than 1e-7 * max(1, |b|_max) * |rho|_max:
-        then every point of the boxes leaves the rows a total residual above
-        phase 1's infeasibility threshold, so a cold solve agrees.
+        toward the bound it violates gives the nearest value it can reach.
+        An infinite bound there makes that value infinite on the feasible
+        side, which proves nothing.  The proof needs the value to miss the
+        bound by more than 1e-7 * max(1, |b|_max) * |rho|_max: then every
+        point of the boxes leaves the rows a total residual above phase 1's
+        infeasibility threshold, so a cold solve agrees.
         """
         out_var = int(self.basis[leave])
         rho = self.B_inv[leave]
@@ -688,8 +689,6 @@ class _Simplex:
         a = alpha_r[nonbasic]
         # raising x_j lowers x_B[leave] when alpha_rj > 0
         bound = np.where((a > 0) == rising, self.lo[nonbasic], self.up[nonbasic])
-        if not np.all(np.isfinite(bound)):
-            return False
         reach = float(rho @ self.b - a @ bound)
         miss = self.lo[out_var] - reach if rising else reach - self.up[out_var]
         scale = max(1.0, float(np.max(np.abs(self.b))))

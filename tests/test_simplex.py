@@ -451,6 +451,37 @@ def test_random_appended_rows_warm_match_highs(warm_outcomes):
     assert sum(r is not None for r in warm_outcomes) >= 20
 
 
+def test_dual_phase_ends_on_an_optimal_basis(monkeypatch):
+    """The reduced costs the dual phase updates from its pivot rows keep the
+    start dual feasible, so primal phase 2 finds the basis optimal at once."""
+    phase_two = simplex._Simplex._phase_two
+    passes = []
+
+    def recording_phase_two(self):
+        before = self.iterations
+        result = phase_two(self)
+        passes.append(self.iterations - before)
+        return result
+
+    monkeypatch.setattr(simplex._Simplex, "_phase_two", recording_phase_two)
+    for seed in range(5):
+        lp = _boxed_lp(seed, 60, 40, 0.3)
+        first = solve_arrays(lp)
+        # eight rows that cut the optimum off
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(8, 40)) * (rng.random((8, 40)) < 0.5)
+        arrays = LPArrays(
+            lp.c, np.vstack([lp.A, rows]), lp.senses + ["<"] * 8,
+            np.concatenate([lp.b, rows @ first.x - 0.3]), lp.lo, lp.up,
+        )
+        passes.clear()
+        warm = solve_arrays(arrays, start=first)
+        assert warm.status is LPStatus.OPTIMAL
+        assert warm.iterations >= 10
+        assert passes == [1]  # one pricing pass that finds no entering column
+        assert warm.objective == pytest.approx(solve_arrays(arrays).objective, abs=1e-9)
+
+
 def test_infeasible_appended_row_matches_cold(warm_outcomes):
     m = Model("t")
     x = m.add_variable("x", 0.0, 3.0)

@@ -131,8 +131,9 @@ class LPArrays:
         for i, con in enumerate(active):
             if con.bilinear:
                 raise ValueError(f"constraint {con.name!r} has bilinear terms; relax first")
-            terms = con.linear.terms
-            A[i, list(terms)] = list(terms.values())
+            row = A[i]
+            for var_id, coeff in con.linear.terms.items():
+                row[var_id] = coeff
             senses.append({"<=": "<", "==": "=", ">=": ">"}[con.sense.value])
             b[i] = con.rhs - con.linear.constant
         return cls(c, A, senses, b, lo, up, model.objective.constant)
@@ -282,8 +283,7 @@ class _Simplex:
 
         self.status = np.empty(N, dtype=np.int8)
         self.x = np.zeros(N)
-        every = np.arange(n + m)
-        self._park(every, self.lo[every])
+        self._park(np.arange(n + m), self.lo[: n + m])
         self.basis = np.arange(self.art_start, self.art_start + m)
         self.iterations = 0
         self.max_iterations = 20000 + 60 * (m + n)

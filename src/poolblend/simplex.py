@@ -2,28 +2,34 @@
 that re-optimizes from an earlier optimal basis.
 
 Numpy implementation sized for the instances this package generates
-(hundreds of rows).  ``solve_arrays`` decides what the simplex carries:
-after the bound overrides, every row with at most one nonzero is a bound,
-so ``a * x_j (sense) b`` tightens the box of x_j by b/a (the sense flips
-for a < 0) and an empty row is checked and dropped.  A box that crosses by
-at most 1e-9 relative is snapped to a point, since a quotient can land an
-ulp outside; a wider crossing is infeasible.  The solution keeps every
-column.
+(hundreds of rows).  ``solve_arrays`` decides what the simplex carries from
+one scan of the nonzeros: after the bound overrides, every row with at most
+one nonzero is a bound, so ``a * x_j (sense) b`` tightens the box of x_j by
+b/a (the sense flips for a < 0) and an empty row is checked and dropped.
+All such rows fold at once, with the same boxes as folding them one by one.
+A box that crosses by at most 1e-9 relative is snapped to a point, since a
+quotient can land an ulp outside; a wider crossing is infeasible.  The
+solution keeps every column.
 
 Nonbasic variables rest at a bound, rows carry slacks, and an artificial
-basis opens phase 1.  Only the structural columns are stored (dense,
-m x n): slack i is the implicit unit column e_i and artificial i is
+basis opens phase 1.  Only the structural columns are stored, by their
+nonzeros (column pointers, row indices and values, ordered by column, then
+row), and no m x n array is formed: pricing and a pivot row are one
+weighted ``np.bincount`` over the nonzeros, and so is a row activity, and
+B_inv times structural column j reads only the columns of B_inv on j's
+rows.  Slack i is the implicit unit column e_i and artificial i is
 sigma_i * e_i, so B_inv times either is one column of B_inv.  A refactor
 inverts only the structural kernel, the basic structural columns on the
 rows that no basic unit column covers, and assembles the explicit basis
 inverse blockwise from it (Suhl & Suhl's triangular pre-pass over the unit
 columns): O(k^3 + (m-k) k^2) for k basic structurals, against O(m^3) for
-the whole basis.  Between refactors the inverse gets a rank-1 update: the
-whole outer product, in slabs of rows, when the nonzero supports of the
-pivot column and pivot row span more than 1/4 of B_inv, else only the
-entries on that support.  The skipped entries would subtract exact zeros,
-so both kernels give the same inverse up to the sign of a zero, and the
-same pivots.  Entering variable: most negative reduced-cost direction
+the whole basis; it and the basis repair read a dense m x k block of the
+basic structural columns.  Between refactors the inverse gets a rank-1
+update: the whole outer product, in slabs of rows, when the nonzero
+supports of the pivot column and pivot row span more than 1/4 of B_inv,
+else only the entries on that support.  The skipped entries would
+subtract exact zeros, so both kernels give the same inverse up to the sign
+of a zero, and the same pivots.  Entering variable: most negative reduced-cost direction
 (Dantzig) over the columns that can move, so fixed structurals,
 equality-row slacks and phase-2 artificials are never priced, with a
 permanent switch to Bland's rule after 5*(m+n) degenerate pivots so cycling
@@ -174,32 +180,21 @@ def solve_arrays(
         for var_id, (vlo, vup) in bound_overrides.items():
             lo[var_id] = vlo
             up[var_id] = vup
-    A, senses, b = arrays.A, arrays.senses, arrays.b
-    keep = np.count_nonzero(A, axis=1) > 1
-    for i in np.flatnonzero(~keep):
-        # a row with at most one nonzero is a bound: a * x_j (sense) b
-        (cols,) = np.nonzero(A[i])
-        sense = senses[i]
-        if not cols.size:
-            if (sense != ">" and b[i] < -_FEAS_TOL) or (sense != "<" and b[i] > _FEAS_TOL):
-                return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
-            continue
-        j = cols[0]
-        bound = b[i] / A[i, j]
-        if A[i, j] < 0 and sense != "=":
-            sense = "<" if sense == ">" else ">"
-        if sense != ">":
-            up[j] = min(up[j], bound)
-        if sense != "<":
-            lo[j] = max(lo[j], bound)
-    # a quotient can land an ulp outside the box: snap such crossings shut
-    with np.errstate(invalid="ignore"):
-        snap = (lo > up) & (lo <= up + _FEAS_TOL * np.maximum(1.0, np.abs(up)))
-    lo[snap] = up[snap]
-    if np.any(lo > up):
+    A, b = arrays.A, arrays.b
+    kinds = np.array(arrays.senses, dtype=str)
+    # one scan for the nonzeros, in row order
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols]
+    counts = np.bincount(rows, minlength=b.size)
+    if not _fold_singleton_rows(rows, cols, vals, counts, kinds, b, lo, up):
         return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
     n = A.shape[1]
-    problem = (arrays.c, A[keep], [s for s, k in zip(senses, keep) if k], b[keep], lo, up)
+    keep = counts > 1
+    kept = keep[rows]
+    renumber = np.cumsum(keep) - 1
+    problem = (
+        arrays.c, renumber[rows[kept]], cols[kept], vals[kept], kinds[keep], b[keep], lo, up
+    )
     result, warm_iterations = None, 0
     start_codes = _start_codes(start, n, keep)
     if start_codes is not None:
@@ -219,6 +214,49 @@ def solve_arrays(
     return result
 
 
+def _fold_singleton_rows(rows, cols, vals, counts, kinds, b, lo, up) -> bool:
+    """Fold every row with at most one nonzero into lo and up, in place.
+
+    Row i with the one nonzero a at column j is a * x_j (sense) b, a bound
+    b / a on x_j; the sense flips for a < 0.  An empty row is only checked.
+    Returns False when an empty row is violated or a box crosses by more
+    than 1e-9 relative; a box that crosses by less is snapped to a point,
+    since a quotient can land an ulp outside it.
+    """
+    empty = counts == 0
+    if np.any(
+        empty
+        & (((kinds != ">") & (b < -_FEAS_TOL)) | ((kinds != "<") & (b > _FEAS_TOL)))
+    ):
+        return False
+    single = counts[rows] == 1
+    i, j, a = rows[single], cols[single], vals[single]
+    bound = b[i] / a
+    sense = kinds[i]
+    both = sense == "="
+    upper = (sense == "<") != (a < 0)
+    _tighten(up, j[both | upper], bound[both | upper], np.minimum, np.less)
+    _tighten(lo, j[both | ~upper], bound[both | ~upper], np.maximum, np.greater)
+    with np.errstate(invalid="ignore"):
+        snap = (lo > up) & (lo <= up + _FEAS_TOL * np.maximum(1.0, np.abs(up)))
+    lo[snap] = up[snap]
+    return not np.any(lo > up)
+
+
+def _tighten(box, j, bound, tightest, tighter) -> None:
+    """Tighten box[j] by each bound, in order, as the loop ``box[j] =
+    min(box[j], bound)`` would (``max`` for a lower bound): a bound
+    replaces box[j] only when strictly tighter, so of equal values the
+    earliest wins, and the sign of a zero comes out as the loop's."""
+    best = box.copy()
+    tightest.at(best, j, bound)
+    hit = bound == best[j]
+    at, first = np.unique(j[hit], return_index=True)
+    value = bound[hit][first]
+    moved = tighter(value, box[at])
+    box[at[moved]] = value[moved]
+
+
 class _Split(NamedTuple):
     """The basis by kind of column; unit columns are slacks and artificials."""
 
@@ -228,6 +266,7 @@ class _Split(NamedTuple):
     signs: np.ndarray  # its entry there: +1, or sigma for an artificial
     covered: np.ndarray  # mask of the rows some unit column covers
     kernel: np.ndarray  # the other rows
+    columns: np.ndarray  # the basic structural columns, dense (m x len(struct))
 
 
 def _start_codes(start: LPResult | None, n: int, keep: np.ndarray) -> np.ndarray | None:
@@ -264,13 +303,22 @@ class _Simplex:
     # basis codes only: a row whose artificial is basic, a row folded into a bound
     ARTIFICIAL, FOLDED = 4, -1
 
-    def __init__(self, c, A, senses, b, lo, up, start=None):
-        m, n = A.shape
+    def __init__(self, c, rows, cols, vals, senses, b, lo, up, start=None):
+        """The LP min c x over rows A x (sense) b and the box lo <= x <= up,
+        with A given by its nonzeros: vals[k] sits at (rows[k], cols[k])."""
+        m, n = b.size, c.size
         self.m, self.n = m, n
         self.n_struct = n
         N = n + m + m  # structural | slacks | artificials
         self.N = N
-        self.A = np.ascontiguousarray(A, dtype=float)
+        # A by columns: column j holds the entries col_ptr[j]:col_ptr[j+1],
+        # ordered by column, then row
+        order = np.lexsort((rows, cols))
+        self.row_idx = np.asarray(rows, dtype=np.intp)[order]
+        self.col_idx = np.asarray(cols, dtype=np.intp)[order]
+        self.vals = np.asarray(vals, dtype=float)[order]
+        self.col_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.col_idx, minlength=n), out=self.col_ptr[1:])
         self.sigma = np.ones(m)  # artificial i is sigma[i] * e_i
         kinds = np.array(senses, dtype=str)
         slack_lo = np.where(kinds == ">", -math.inf, 0.0)
@@ -306,7 +354,7 @@ class _Simplex:
         self._park(basic, self.x[basic])
         self.lo[self.art_start :] = 0.0
         self.up[self.art_start :] = math.inf
-        resid = self.b - self.A @ self.x[:n]
+        resid = self.b - self._dot_rows(self.x[:n])
         self.basis = np.empty(m, dtype=int)
         sigma = self.sigma
         sigma[:] = 1.0
@@ -382,11 +430,22 @@ class _Simplex:
             at_lo, self.AT_LOWER, np.where(at_up, self.AT_UPPER, self.FREE)
         )
 
+    def _dot_columns(self, y: np.ndarray) -> np.ndarray:
+        """y A: y times each structural column, over its nonzeros."""
+        weights = y[self.row_idx] * self.vals
+        return np.bincount(self.col_idx, weights=weights, minlength=self.n)
+
+    def _dot_rows(self, x: np.ndarray) -> np.ndarray:
+        """A x for the structural part x, over the nonzeros."""
+        weights = self.vals * x[self.col_idx]
+        return np.bincount(self.row_idx, weights=weights, minlength=self.m)
+
     def _ftran(self, j: int) -> np.ndarray:
-        """B_inv times column j; slack i is e_i and artificial i sigma_i * e_i,
-        so theirs is one column of B_inv."""
+        """B_inv times column j, over its nonzeros; slack i is e_i and
+        artificial i sigma_i * e_i, so theirs is one column of B_inv."""
         if j < self.n:
-            return self.B_inv @ self.A[:, j]
+            at = slice(self.col_ptr[j], self.col_ptr[j + 1])
+            return self.B_inv[:, self.row_idx[at]] @ self.vals[at]
         i = (j - self.n) % self.m
         return self.B_inv[:, i] * (1.0 if j < self.art_start else self.sigma[i])
 
@@ -399,12 +458,25 @@ class _Simplex:
         signs = np.where(basis[unit] < self.art_start, 1.0, self.sigma[rows])
         covered = np.zeros(self.m, dtype=bool)
         covered[rows] = True
-        return _Split(struct, unit, rows, signs, covered, np.flatnonzero(~covered))
+        columns = self._dense_columns(basis[struct])
+        return _Split(struct, unit, rows, signs, covered, np.flatnonzero(~covered), columns)
+
+    def _dense_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The structural columns cols of A as a dense m x len(cols) block,
+        scattered from their nonzeros."""
+        starts = self.col_ptr[cols]
+        lengths = self.col_ptr[cols + 1] - starts
+        # entry k of column t is nonzero starts[t] + k
+        offsets = np.cumsum(lengths) - lengths
+        at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+        block = np.zeros((self.m, cols.size))
+        block[self.row_idx[at], np.repeat(np.arange(cols.size), lengths)] = self.vals[at]
+        return block
 
     def _row_activity(self, x: np.ndarray) -> np.ndarray:
         """A x + slacks + sigma * artificials, for a full-length point x."""
         n, m = self.n, self.m
-        return self.A @ x[:n] + x[n : n + m] + self.sigma * x[n + m :]
+        return self._dot_rows(x[:n]) + x[n : n + m] + self.sigma * x[n + m :]
 
     def _recompute_basics(self) -> None:
         xn = self.x.copy()
@@ -435,15 +507,14 @@ class _Simplex:
         B_inv[unit, R] = -D S[U] K^-1.  Returns False, leaving B_inv as it
         was, when two unit columns cover one row or K is singular.
         """
-        struct, unit, rows, signs, _, kernel = split
+        struct, unit, rows, signs, _, kernel, S = split
         if kernel.size != struct.size:
             return False  # a row covered twice
-        cols = self.basis[struct]
         try:
-            K_inv = np.linalg.inv(self.A[np.ix_(kernel, cols)])
+            K_inv = np.linalg.inv(S[kernel])
         except np.linalg.LinAlgError:
             return False
-        unit_block = (self.A[np.ix_(rows, cols)] @ K_inv) * -signs[:, None]
+        unit_block = (S[rows] @ K_inv) * -signs[:, None]
         B_inv = self.B_inv
         B_inv.fill(0.0)
         B_inv[np.ix_(struct, kernel)] = K_inv
@@ -453,9 +524,9 @@ class _Simplex:
 
     def _probe_error(self, split: _Split, p: int) -> float:
         """max |B B_inv[:, p] - e_p|, with B applied column by column."""
-        struct, unit, rows, signs, _, _ = split
+        struct, unit, rows, signs, _, _, S = split
         col = self.B_inv[:, p]
-        image = self.A[:, self.basis[struct]] @ col[struct]
+        image = S @ col[struct]
         image[rows] += signs * col[unit]
         image[p] -= 1.0
         return float(np.max(np.abs(image)))
@@ -470,11 +541,11 @@ class _Simplex:
         basis may leave an artificial at a nonzero value, i.e. primal
         infeasible; the caller restarts from phase 1 in that case.
         """
-        struct, unit, rows, _, covered, kernel = self._split()
+        struct, unit, rows, _, covered, kernel, S = self._split()
         first = np.unique(rows, return_index=True)[1]
         dropped = np.delete(unit, first).tolist()
         Q = np.zeros((kernel.size, 0))
-        for k, col in zip(struct, self.A[np.ix_(kernel, self.basis[struct])].T):
+        for k, col in zip(struct, S[kernel].T):
             r = col - Q @ (Q.T @ col)
             nrm = float(np.linalg.norm(r))
             if nrm > 1e-8 * max(1.0, float(np.linalg.norm(col))):
@@ -628,7 +699,7 @@ class _Simplex:
             if max(below[leave], above[leave]) <= _FEAS_TOL:
                 return LPStatus.OPTIMAL
             rho = self.B_inv[leave]
-            alpha_r = np.concatenate([rho @ self.A, rho, self.sigma * rho])
+            alpha_r = np.concatenate([self._dot_columns(rho), rho, self.sigma * rho])
             # moving x_j by +1 moves the leaving variable by -alpha_rj
             toward = -alpha_r if rising else alpha_r
             at_lo = self.status == self.AT_LOWER
@@ -732,7 +803,7 @@ class _Simplex:
         """d = c - y [A | I | diag(sigma)], without forming the m x N matrix."""
         n, m = self.n, self.m
         d = np.empty(self.N)
-        d[:n] = c[:n] - y @ self.A
+        d[:n] = c[:n] - self._dot_columns(y)
         d[n : n + m] = c[n : n + m] - y
         d[n + m :] = c[n + m :] - self.sigma * y
         return d

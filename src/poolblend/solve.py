@@ -27,7 +27,9 @@ prefix of its child's LP and the start fits.
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
 ``_MAX_CUT_ROUNDS`` rounds per node, in nodes down to depth
-``_IN_TREE_CUT_DEPTH``, at violation ``cuts.DEFAULT_VIOLATION_EPS``).
+``_IN_TREE_CUT_DEPTH``, at violation ``cuts.DEFAULT_VIOLATION_EPS``).  The
+caller's time limit also bounds the initial primal search, whose own limit
+is ``_HEURISTIC_GAP``'s 60 s, and the cut rounds: none starts past it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +88,10 @@ class GapSpec:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+
+
+# the initial primal search's restriction MIP: a 1% gap, within 60 s
+_HEURISTIC_GAP = GapSpec(rel_tol=0.01, abs_tol=1e-8, time_limit=60.0)
 
 
 def relative_gap(a: float, b: float) -> float:
@@ -257,7 +263,7 @@ def initial_primal_search(
             )
     if pq.model.objective_bilinear:
         raise NonLinearSideConstraints("objective carries bilinear terms")
-    gap = gap or GapSpec(rel_tol=0.01, abs_tol=1e-8, time_limit=60.0)
+    gap = gap or _HEURISTIC_GAP
     rm = install_restriction(pq, RestrictionSpec(tau=tau))
     try:
         result = solve_mip(pq.model, gap)
@@ -331,17 +337,21 @@ def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], 
 
 
 def _cut_loop(
-    rm: RelaxedModel, cb: CutBlock | None, start: LPResult | None = None
+    rm: RelaxedModel,
+    cb: CutBlock | None,
+    start: LPResult | None = None,
+    deadline: float = math.inf,
 ) -> tuple[LPResult, list[tuple[float, int]]]:
     """Solve the relaxation, then separate and re-solve for at most
-    ``_MAX_CUT_ROUNDS`` rounds; return the last LP and, per round, the
-    objective it separated and the number of cuts it added."""
+    ``_MAX_CUT_ROUNDS`` rounds, starting none once ``deadline`` (on the
+    ``time.monotonic()`` clock) has passed; return the last LP and, per
+    round, the objective it separated and the number of cuts it added."""
     res = solve_lp(rm.lp, start=start)
     rounds: list[tuple[float, int]] = []
     if cb is None:
         return res, rounds
     for _ in range(_MAX_CUT_ROUNDS):
-        if res.status is not LPStatus.OPTIMAL:
+        if res.status is not LPStatus.OPTIMAL or time.monotonic() > deadline:
             break
         added = add_valid_cuts(cb, rm, res.x)
         rounds.append((res.objective, added))
@@ -408,17 +418,21 @@ def branch_and_cut(
     loop raises ``NumericalFailure``, is unbounded, or is infeasible while
     the heuristic holds an incumbent proves nothing either: the solve ends
     ``feasible`` (``unknown``) at lower ``-inf``.  ``nodes`` does not count
-    the root.
+    the root.  ``gap.time_limit`` caps the heuristic's own limit and stops
+    the cut rounds, at the root and in the tree, as well as the search.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
     start = time.monotonic()
-    search = _Search(gap, _deadline(start, gap))
+    deadline = _deadline(start, gap)
+    search = _Search(gap, deadline)
 
     heuristic_seconds = 0.0
     if options.use_primal_heuristic:
         t0 = time.monotonic()
-        solution = initial_primal_search(pq)
+        left = max(0.0, deadline - t0)
+        heuristic_gap = replace(_HEURISTIC_GAP, time_limit=min(_HEURISTIC_GAP.time_limit, left))
+        solution = initial_primal_search(pq, heuristic_gap)
         heuristic_seconds = time.monotonic() - t0
         if solution is not None:
             search.offer(solution.values, solution.objective)
@@ -428,7 +442,7 @@ def branch_and_cut(
 
     t0 = time.monotonic()
     try:
-        root, _ = _cut_loop(rm, cb)
+        root, _ = _cut_loop(rm, cb, deadline=deadline)
     except NumericalFailure:
         root = None
     root_cut_seconds = time.monotonic() - t0
@@ -489,7 +503,7 @@ def branch_and_cut(
             # add_valid_cuts installs each new cut into the root relaxation
             # too, so every later clone carries it and this node's last LP
             # stays a row prefix of its children's LPs
-            res, _ = _cut_loop(rm_node, cb, node.start)
+            res, _ = _cut_loop(rm_node, cb, node.start, deadline)
         else:
             res = solve_lp(rm_node.lp, start=node.start)
         if options.node_hook is not None:

@@ -228,7 +228,7 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
     def recording_phase(self, costs):
         status = phase(self, costs)
         snapshots.append(
-            (self.A, self.B_inv.copy(), self.basis.copy(), self.sigma.copy(), self._since_refactor)
+            (self.B_inv.copy(), self.basis.copy(), self.sigma.copy(), self._since_refactor)
         )
         return status
 
@@ -248,10 +248,11 @@ def test_sparse_inverse_update_stays_exact(monkeypatch):
             assert sum(dense) >= 100
 
         # the last phase ends on an inverse built by updates alone
-        A_kept, B_inv, basis, sigma, updates = snapshots[-1]
+        B_inv, basis, sigma, updates = snapshots[-1]
         assert updates >= 100
         # structural | slack e_i | artificial sigma_i * e_i, over the rows the
         # simplex carries (singleton rows were folded into the bounds)
+        A_kept = _kept_rows(arrays.A)
         m_kept = A_kept.shape[0]
         B = np.hstack([A_kept, np.eye(m_kept), np.diag(sigma)])[:, basis]
         assert np.max(np.abs(B_inv @ B - np.eye(m_kept))) <= 1e-8
@@ -276,10 +277,18 @@ def test_both_update_kernels_give_the_same_solve(monkeypatch):
     assert np.array_equal(support.basis, dense.basis)
 
 
+def _kept_rows(A):
+    """The rows of A the simplex carries: those with two nonzeros or more."""
+    return A[np.count_nonzero(A, axis=1) > 1]
+
+
 def _with_basis(A, basis, sigma):
     """A cold _Simplex over A (rows A x <= 1, 0 <= x <= 1) given this basis."""
     m, n = A.shape
-    s = simplex._Simplex(np.zeros(n), A, ["<"] * m, np.ones(m), np.zeros(n), np.ones(n))
+    rows, cols = np.nonzero(A)
+    s = simplex._Simplex(
+        np.zeros(n), rows, cols, A[rows, cols], ["<"] * m, np.ones(m), np.zeros(n), np.ones(n)
+    )
     s.sigma[:] = sigma
     s.status[s.basis] = s.AT_LOWER
     s.basis = np.asarray(basis)
@@ -287,9 +296,9 @@ def _with_basis(A, basis, sigma):
     return s
 
 
-def _basis_matrix(s):
+def _basis_matrix(A, s):
     """structural | slack e_i | artificial sigma_i * e_i, in basis order"""
-    return np.hstack([s.A, np.eye(s.m), np.diag(s.sigma)])[:, s.basis]
+    return np.hstack([A, np.eye(s.m), np.diag(s.sigma)])[:, s.basis]
 
 
 def test_kernel_factor_matches_the_dense_inverse():
@@ -306,7 +315,7 @@ def test_kernel_factor_matches_the_dense_inverse():
         units = np.where(artificial, n + m + unit_rows, n + unit_rows)
         basis = rng.permutation(np.concatenate([cols, units]))
         s = _with_basis(A, basis, sigma)
-        B = _basis_matrix(s)
+        B = _basis_matrix(A, s)
         assert np.linalg.cond(B) < 1e6
         s._refactor()
         # no repair: the basis is the one given
@@ -328,15 +337,81 @@ def test_repair_leaves_a_nonsingular_basis(dependent):
         # row 5 holds its slack and its artificial, rows 0 and 1 neither
         basis = [0, n + m + 5] + [n + i for i in range(2, m)]
     s = _with_basis(A, basis, np.ones(m))
-    assert np.linalg.matrix_rank(_basis_matrix(s)) < m
+    assert np.linalg.matrix_rank(_basis_matrix(A, s)) < m
     try:
         s._refactor()
     except simplex._Restart:
         pass  # the repaired basis is factored before the restart is raised
-    B = _basis_matrix(s)
+    B = _basis_matrix(A, s)
     assert np.linalg.matrix_rank(B) == m
     assert np.max(np.abs(s.B_inv @ B - np.eye(m))) <= 1e-10
     assert np.count_nonzero(s.status == s.BASIC) == m
+
+
+def _sparse_lp(seed, m, n):
+    """A _boxed_lp at density 0.15 with rows 0-3 cut down to one nonzero or
+    none and column 0 nonzero only in those rows, so that no kept row
+    touches it."""
+    arrays = _boxed_lp(seed, m, n, 0.15)
+    A, b, mid = arrays.A, arrays.b, (arrays.lo + arrays.up) / 2.0
+    A[:, 0] = 0.0
+    A[:4] = 0.0
+    A[0, 0], A[1, 0], A[3, n - 1] = 2.0, -0.5, 3.0
+    b[:4] = A[:4] @ mid  # the box's midpoint meets every folded row
+    return arrays
+
+
+def test_column_storage_matches_the_dense_products(monkeypatch):
+    """The simplex keeps the kept rows by their column nonzeros, holds no
+    m x n array, and each product it forms from the nonzeros equals the
+    dense one; an LP whose every row folds into a bound still solves."""
+    built = []
+    run = simplex._Simplex.run
+
+    def recording_run(self):
+        built.append(self)
+        return run(self)
+
+    monkeypatch.setattr(simplex._Simplex, "run", recording_run)
+    rng = np.random.default_rng(1)
+    for seed in range(5):
+        arrays = _sparse_lp(seed, 40, 30)
+        assert solve_arrays(arrays).status is LPStatus.OPTIMAL
+        s = built[-1]
+        A = _kept_rows(arrays.A)
+        assert (s.m, s.n) == A.shape and s.m < 40
+        assert s.col_ptr[1] == 0  # column 0 has no nonzero in the kept rows
+        big = {k for k, v in vars(s).items() if isinstance(v, np.ndarray) and v.size >= A.size}
+        assert big <= {"B_inv"}
+
+        def close(mine, dense):
+            scale = max(1.0, float(np.max(np.abs(dense), initial=0.0)))
+            assert mine.shape == dense.shape
+            assert np.max(np.abs(mine - dense), initial=0.0) <= 1e-12 * scale
+
+        y, x = rng.normal(size=s.m), rng.normal(size=s.n)
+        close(s._dot_columns(y), y @ A)
+        close(s._dot_rows(x), A @ x)
+        for j in range(s.n):
+            close(s._ftran(j), s.B_inv @ A[:, j])
+        split = s._split()
+        close(split.columns, A[:, s.basis[split.struct]])
+
+    # every row folds: rows 0-2 into bounds on x0 and x1, row 3 is empty
+    arrays = LPArrays(
+        np.array([1.0, -2.0, 0.5]),
+        np.array([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]),
+        [">", ">", "<", "<"],
+        np.array([1.0, -4.0, 6.0, 0.0]),
+        np.full(3, -5.0),
+        np.array([5.0, 5.0, 1.0]),
+    )
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.x.tolist() == [0.5, 2.0, -5.0]
+    assert res.objective == pytest.approx(_highs(arrays).fun, rel=1e-12)
+    assert res.basis[3:].tolist() == [simplex._Simplex.FOLDED] * 4
+    assert built[-1].m == 0
 
 
 def test_forced_bland_reaches_phase_two(monkeypatch, h1):
@@ -418,6 +493,78 @@ def test_singleton_row_crossing_by_an_ulp_snaps_to_a_point():
     # a real crossing stays infeasible
     wide = LPArrays(arrays.c, row, ["=", ">"], np.array([0.0707, 0.5]), lo, up)
     assert solve_arrays(wide).status is LPStatus.INFEASIBLE
+
+
+def test_singleton_rows_of_every_sense_fold_into_one_box():
+    # on x0: 2 x0 <= 6 (x0 <= 3), -4 x0 >= -8 (x0 <= 2) and 0.5 x0 = 0.75
+    rows = np.array([[2.0, 0.0], [-4.0, 0.0], [0.5, 0.0], [1.0, 1.0]])
+    lo, up = np.array([-10.0, 0.0]), np.array([10.0, 1.0])
+    arrays = LPArrays(
+        np.array([1.0, 1.0]), rows, ["<", ">", "=", ">"], np.array([6.0, -8.0, 0.75, 2.0]), lo, up
+    )
+    res = solve_arrays(arrays)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.x.tolist() == [1.5, 0.5]
+    # the = row past the > row's bound empties the box
+    b = np.array([6.0, -8.0, 1.25, 2.0])
+    assert solve_arrays(LPArrays(arrays.c, rows, arrays.senses, b, lo, up)).status is (
+        LPStatus.INFEASIBLE
+    )
+
+
+def _fold_by_loop(A, senses, b, lo, up):
+    """The fold one row at a time, as min and max of Python floats."""
+    for i in range(A.shape[0]):
+        (cols,) = np.nonzero(A[i])
+        sense = senses[i]
+        if not cols.size:
+            if (sense != ">" and b[i] < -1e-9) or (sense != "<" and b[i] > 1e-9):
+                return False
+            continue
+        if cols.size > 1:
+            continue
+        j = cols[0]
+        bound = b[i] / A[i, j]
+        if A[i, j] < 0 and sense != "=":
+            sense = "<" if sense == ">" else ">"
+        if sense != ">":
+            up[j] = min(up[j], bound)
+        if sense != "<":
+            lo[j] = max(lo[j], bound)
+    with np.errstate(invalid="ignore"):
+        snap = (lo > up) & (lo <= up + 1e-9 * np.maximum(1.0, np.abs(up)))
+    lo[snap] = up[snap]
+    return not np.any(lo > up)
+
+
+def test_singleton_fold_gives_the_loops_boxes_bit_for_bit():
+    """Ties between bounds of equal value, signed zeros among them, keep the
+    first one, as the loop does."""
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for _ in range(200):
+        m, n = 30, 6
+        A = np.zeros((m, n))
+        cols = rng.integers(n, size=m)
+        A[np.arange(m), cols] = rng.choice([-2.0, -1.0, 0.5, 1.0], size=m)
+        A[rng.random(m) < 0.2] = 0.0  # empty rows
+        A[rng.random(m) < 0.2, 0] = 1.0  # rows of two nonzeros stay
+        senses = [("<", ">", "=")[k] for k in rng.integers(3, size=m)]
+        b = rng.choice([-1.0, -0.0, 0.0, 1.0], size=m) * rng.choice([1.0, 2.0], size=m)
+        b[rng.random(m) < 0.5] = 0.0
+        lo = rng.choice([-math.inf, -3.0, -0.0, 0.0], size=n)
+        up = rng.choice([math.inf, 3.0, -0.0, 0.0], size=n)
+        ref_lo, ref_up = lo.copy(), up.copy()
+        expected = _fold_by_loop(A, senses, b, ref_lo, ref_up)
+        rows, cols = np.nonzero(A)
+        counts = np.bincount(rows, minlength=m)
+        kinds = np.array(senses)
+        ok = simplex._fold_singleton_rows(rows, cols, A[rows, cols], counts, kinds, b, lo, up)
+        assert ok == expected
+        outcomes.add(ok)
+        if ok:
+            assert lo.tobytes() == ref_lo.tobytes() and up.tobytes() == ref_up.tobytes()
+    assert outcomes == {True, False}
 
 
 def test_random_appended_rows_warm_match_highs(warm_outcomes):

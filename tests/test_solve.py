@@ -350,7 +350,7 @@ def zero_flow_incumbent(monkeypatch, pq):
     values[pq.q[("i1", "l1")]] = 0.5
     values[pq.q[("i2", "l1")]] = 0.5
     solution = RestoredSolution(values, 0.0)
-    monkeypatch.setattr(solve_module, "initial_primal_search", lambda pq: solution)
+    monkeypatch.setattr(solve_module, "initial_primal_search", lambda pq, gap=None: solution)
     monkeypatch.setattr(solve_module, "_try_incumbent", lambda pq, point, upper: None)
 
 
@@ -434,6 +434,29 @@ def test_gap_limits_respected(h1_pq):
         assert (report.status, report.nodes) == ("feasible", node_limit)
         assert report.upper == pytest.approx(upper, abs=1e-6)
         assert report.lower == pytest.approx(lower, abs=1e-6)
+
+
+@pytest.mark.parametrize("time_limit", [None, 0.0])
+def test_time_limit_caps_the_heuristic_and_the_cut_rounds(monkeypatch, time_limit):
+    """A spent time limit leaves the heuristic's restriction MIP no node and
+    the root cut loop no round; without one, both run."""
+    mips = []
+    solve_mip = solve_module.solve_mip
+
+    def recording_solve_mip(model, gap=None):
+        mips.append(solve_mip(model, gap))
+        return mips[-1]
+
+    monkeypatch.setattr(solve_module, "solve_mip", recording_solve_mip)
+    pq = build_pq(generate_instance(DESK_SPARSE_S1))
+    report = branch_and_cut(pq, GapSpec(rel_tol=1e-4, time_limit=time_limit, node_limit=0))
+    assert len(mips) == 1
+    if time_limit is None:
+        assert report.cuts > 0 and mips[0].nodes > 0
+    else:
+        assert report.cuts == 0
+        assert mips[0].nodes == 0
+        assert report.nodes == 0
 
 
 def test_failed_node_lp_keeps_its_bound(monkeypatch, h1_pq):

@@ -182,13 +182,15 @@ def solve_arrays(
             up[var_id] = vup
     A, b = arrays.A, arrays.b
     kinds = np.array(arrays.senses, dtype=str)
-    # one scan for the nonzeros, in row order
-    rows, cols = np.nonzero(A)
-    vals = A[rows, cols]
+    # one scan for the nonzeros, in row order; np.nonzero is several times
+    # faster on a flat mask than on the 2-D array
+    n = A.shape[1]
+    at = np.flatnonzero(A != 0.0)
+    rows, cols = np.divmod(at, n)
+    vals = A.ravel()[at]
     counts = np.bincount(rows, minlength=b.size)
     if not _fold_singleton_rows(rows, cols, vals, counts, kinds, b, lo, up):
         return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
-    n = A.shape[1]
     keep = counts > 1
     kept = keep[rows]
     renumber = np.cumsum(keep) - 1

@@ -16,20 +16,22 @@ differs from its parent in one binary bound.  Until the first incumbent
 exists, each node that branches also solves a fix-and-solve rounding LP with
 every binary at its rounded value.
 
-Spatial branch & cut solves its root LP cold.  Each child node starts from
-the LP result its parent ended with, after the parent's cut rounds, and
-each cut round from the round before.  The gradient cuts are globally
-valid, so the cut block keeps one pool for the whole tree: a cut found at a
-node goes into the node's clone and into the root relaxation that later
-nodes clone.  Nodes run one at a time, so a parent's last LP is a row
-prefix of its child's LP and the start fits.
+Spatial branch & cut has one node evaluation: its root is the first node
+the search pops, evaluated on the root relaxation itself with a cold LP.
+Each later node starts from the LP result its parent ended with, after the
+parent's cut rounds, and each cut round from the round before.  The
+gradient cuts are globally valid, so the cut block keeps one pool for the
+whole tree: a cut found at a node goes into the node's clone and into the
+root relaxation that later nodes clone.  Nodes run one at a time, so a
+parent's last LP is a row prefix of its child's LP and the start fits.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
 ``_MAX_CUT_ROUNDS`` rounds per node, in nodes down to depth
 ``_IN_TREE_CUT_DEPTH``, at violation ``cuts.DEFAULT_VIOLATION_EPS``).  The
 caller's time limit also bounds the initial primal search, whose own limit
-is ``_HEURISTIC_GAP``'s 60 s, and the cut rounds: none starts past it.
+is ``_HEURISTIC_GAP``'s 60 s, the cut rounds and the nodes, the root
+included: none starts past it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ __all__ = [
 
 _GAP_EPS = 1e-10
 _MC_FEAS_TOL = 1e-6
-_INCUMBENT_ATTEMPT_TOL = 1e-3
 # cut rounds per node, and the deepest node that runs them
 _MAX_CUT_ROUNDS = 20
 _IN_TREE_CUT_DEPTH = 4
@@ -361,7 +362,6 @@ def _cut_loop(
     return res, rounds
 
 
-
 def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
     """Print what ``_cut_loop`` returned, one line per LP and per round."""
     for iteration, (objective, added) in enumerate(rounds):
@@ -371,6 +371,7 @@ def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
         # the last LP was not separated: it is not optimal or the rounds ran out
         optimal = res.status is LPStatus.OPTIMAL
         print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
+
 
 def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, float] | None:
     """Variable with the largest envelope residual and room to split.
@@ -405,27 +406,31 @@ def branch_and_cut(
 ) -> SolveReport:
     """Spatial branch & cut to global optimality of the pooling model.
 
-    The root relaxation runs the root cut loop outside the search; its
-    children seed the ``_Search`` that every later node goes through.  Each
-    node clones the root relaxation (its cuts included), tightens it to the
-    node box and re-optimizes from its parent's last LP result; nodes down
-    to depth ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut
-    block also installs into the root relaxation.  A node is dropped
-    without a proof when its point is envelope-tight, it has nothing left
-    to split or its LP is unbounded; its bound then stays in ``lower``, and
-    the status is ``feasible`` (``unknown`` without an incumbent) unless
-    that bound meets the incumbent within the gap.  A root whose LP or cut
-    loop raises ``NumericalFailure``, is unbounded, or is infeasible while
-    the heuristic holds an incumbent proves nothing either: the solve ends
-    ``feasible`` (``unknown``) at lower ``-inf``.  ``nodes`` does not count
-    the root.  ``gap.time_limit`` caps the heuristic's own limit and stops
-    the cut rounds, at the root and in the tree, as well as the search.
+    The root is the first node of the ``_Search``, and every node goes
+    through one evaluation: the root on the root relaxation itself, each
+    later node on a clone of it (its cuts included) tightened to the node
+    box, re-optimized from its parent's last LP result.  Nodes down to depth
+    ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut block also
+    installs into the root relaxation.  Every node that its bound does not
+    fathom projects its LP point onto the pooling model (``_try_incumbent``)
+    for an incumbent.  A node is dropped without a proof when its point is
+    envelope-tight, it has nothing left to split, its LP is unbounded or
+    raises ``NumericalFailure``, or its LP is infeasible while its box holds
+    the incumbent, which the root's box always does.  Its bound then stays in
+    ``lower``, and the status is ``feasible`` (``unknown`` without an
+    incumbent) unless that bound meets the incumbent within the gap.
+    ``nodes`` and ``gap.node_limit`` do not count the root, so
+    ``node_limit=0`` still evaluates it.  ``gap.time_limit`` caps the
+    heuristic's own limit and stops the search, the root included, and the
+    cut rounds; a limit spent before the root reports lower ``-inf``.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
     start = time.monotonic()
     deadline = _deadline(start, gap)
-    search = _Search(gap, deadline)
+    # the search counts the root, which node_limit and nodes do not
+    search_gap = gap if gap.node_limit is None else replace(gap, node_limit=gap.node_limit + 1)
+    search = _Search(search_gap, deadline)
 
     heuristic_seconds = 0.0
     if options.use_primal_heuristic:
@@ -439,51 +444,49 @@ def branch_and_cut(
 
     rm = relax(pq.model)
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
-
-    t0 = time.monotonic()
-    try:
-        root, _ = _cut_loop(rm, cb, deadline=deadline)
-    except NumericalFailure:
-        root = None
-    root_cut_seconds = time.monotonic() - t0
-
-    def report(status, lower):
-        upper = search.upper
-        lower = min(lower, upper)
-        return SolveReport(
-            status=status,
-            incumbent=(
-                RestoredSolution(values=search.incumbent, objective=upper)
-                if search.incumbent is not None
-                else None
-            ),
-            lower=lower,
-            upper=upper,
-            rel_gap=relative_gap(lower, upper),
-            nodes=search.nodes,
-            # every cut the search added, at the root and in the tree
-            cuts=len(cb.cut_pool) if cb is not None else 0,
-            wall_seconds=time.monotonic() - start,
-            heuristic_seconds=heuristic_seconds,
-            root_cut_seconds=root_cut_seconds,
-        )
-
-    if root is not None and root.status is LPStatus.INFEASIBLE and search.incumbent is None:
-        return report("infeasible", math.inf)
-    if root is None or root.status is not LPStatus.OPTIMAL:
-        # as for a failed node: the root proves no bound, and an infeasible
-        # root LP beside a feasible incumbent is a numerical failure too
-        return report("unknown" if search.incumbent is None else "feasible", -math.inf)
-
-    found = _try_incumbent(pq, root.x, search.upper)
-    if found is not None:
-        search.offer(*found)
     ids = itertools.count(1)
-    root_node = BnBNode(id=0, depth=0, overrides={})
-    if options.node_hook is not None:
-        options.node_hook(root_node, root)
+    root_cut_seconds = 0.0
 
-    def split(node: BnBNode, res: LPResult, bound: float):
+    def evaluate(node: BnBNode, bound: float):
+        nonlocal root_cut_seconds
+        # the root is evaluated on the root relaxation itself, every other
+        # node on a clone tightened to its box
+        rm_node = rm.clone() if node.depth else rm
+        refresh_bounds(rm_node, node.overrides)
+        t0 = time.monotonic()
+        try:
+            # add_valid_cuts installs each new cut into the root relaxation
+            # too, so every later clone carries it and this node's last LP
+            # stays a row prefix of its children's LPs
+            res, _ = _cut_loop(
+                rm_node, cb if node.depth <= _IN_TREE_CUT_DEPTH else None, node.start, deadline
+            )
+        finally:
+            if not node.depth:
+                root_cut_seconds = time.monotonic() - t0
+        if options.node_hook is not None:
+            options.node_hook(node, res)
+        if res.status is LPStatus.UNBOUNDED:
+            return -math.inf, None
+        if res.status is LPStatus.INFEASIBLE:
+            # an LP that excludes a feasible incumbent inside its box has
+            # failed numerically and proves nothing; the root's box holds
+            # every point
+            held = search.incumbent is not None and all(
+                lo - _MC_FEAS_TOL <= search.incumbent[vid] <= up + _MC_FEAS_TOL
+                for vid, (lo, up) in node.overrides.items()
+            )
+            return bound, None if held else []
+        bound = max(bound, res.objective)
+        if search.fathomed(bound):
+            return bound, []
+        found = _try_incumbent(pq, res.x, search.upper)
+        if found is not None:
+            search.offer(*found)
+        if rm_node.mccormick_residual(res.x)[0] <= _MC_FEAS_TOL:
+            # the relaxation is exact here, but the node is a proof only if
+            # the incumbent meets its bound
+            return bound, None
         picked = _branch_variable(rm, res.x, node.overrides, rm.lp)
         if picked is None:
             return bound, None
@@ -496,43 +499,24 @@ def branch_and_cut(
             for box in ((lo, xhat), (xhat, up))
         ]
 
-    def evaluate(node: BnBNode, bound: float):
-        rm_node = rm.clone()
-        refresh_bounds(rm_node, node.overrides)
-        if cb is not None and node.depth <= _IN_TREE_CUT_DEPTH:
-            # add_valid_cuts installs each new cut into the root relaxation
-            # too, so every later clone carries it and this node's last LP
-            # stays a row prefix of its children's LPs
-            res, _ = _cut_loop(rm_node, cb, node.start, deadline)
-        else:
-            res = solve_lp(rm_node.lp, start=node.start)
-        if options.node_hook is not None:
-            options.node_hook(node, res)
-        if res.status is LPStatus.UNBOUNDED:
-            return -math.inf, None
-        if res.status is not LPStatus.OPTIMAL:
-            return bound, []
-        bound = max(bound, res.objective)
-        if search.fathomed(bound):
-            return bound, []
-        mc_res, _ = rm_node.mccormick_residual(res.x)
-        if mc_res <= _INCUMBENT_ATTEMPT_TOL:
-            found = _try_incumbent(pq, res.x, search.upper)
-            if found is not None:
-                search.offer(*found)
-        if mc_res <= _MC_FEAS_TOL:
-            # the relaxation is exact here, but the node is a proof only if
-            # the incumbent meets its bound
-            return bound, None
-        return split(node, res, bound)
-
-    # the root point was already projected above, so an envelope-tight root
-    # closes the tree only when that incumbent meets its bound
-    mc_res, _ = rm.mccormick_residual(root.x)
-    if (
-        mc_res > _MC_FEAS_TOL
-        or search.incumbent is None
-        or search.upper > root.objective + gap.abs_tol
-    ):
-        search.queue(*split(root_node, root, root.objective))
-    return report(*search.run(evaluate, "unknown"))
+    search.queue(-math.inf, [BnBNode(id=0, depth=0, overrides={})])
+    status, lower = search.run(evaluate, "unknown")
+    upper = search.upper
+    return SolveReport(
+        status=status,
+        incumbent=(
+            RestoredSolution(values=search.incumbent, objective=upper)
+            if search.incumbent is not None
+            else None
+        ),
+        lower=lower,
+        upper=upper,
+        rel_gap=relative_gap(lower, upper),
+        # the root is not counted
+        nodes=max(search.nodes - 1, 0),
+        # every cut the search added, at the root and in the tree
+        cuts=len(cb.cut_pool) if cb is not None else 0,
+        wall_seconds=time.monotonic() - start,
+        heuristic_seconds=heuristic_seconds,
+        root_cut_seconds=root_cut_seconds,
+    )

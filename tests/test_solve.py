@@ -324,6 +324,8 @@ def test_warm_bnb_nodes_match_cold_solves(warm_outcomes, monkeypatch, h1_pq, tin
         return res
 
     monkeypatch.setattr(solve_module, "solve_lp", solve_warm_and_cold)
+    # no projected incumbent closes a tree early: the test is about warm starts
+    monkeypatch.setattr(solve_module, "_try_incumbent", lambda pq, point, upper: None)
     desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
     pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
         build_pq(generate_instance(spec)) for spec in desk
@@ -356,12 +358,12 @@ def zero_flow_incumbent(monkeypatch, pq):
 
 def test_envelope_tight_node_with_rejected_projection_keeps_its_bound(monkeypatch, h1_pq):
     zero_flow_incumbent(monkeypatch, h1_pq)
-    # every node reads as envelope-tight: the root branches, since it has no
-    # incumbent at its bound, and both children (-400 and -100) are dropped
+    # every node reads as envelope-tight: the root, like any node, is
+    # dropped at its bound (-500), since no incumbent meets that bound
     monkeypatch.setattr(solve_module, "_MC_FEAS_TOL", math.inf)
     report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions(use_pooling_cuts=False))
-    assert (report.status, report.upper, report.nodes) == ("feasible", 0.0, 2)
-    assert report.lower == pytest.approx(-400.0, abs=1e-6)
+    assert (report.status, report.upper, report.nodes) == ("feasible", 0.0, 0)
+    assert report.lower == pytest.approx(-500.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("splits, lower, nodes", [(0, -500.0, 0), (1, -400.0, 2)])
@@ -421,10 +423,10 @@ def test_branch_and_cut_deterministic(tiny_nets):
 
 def test_gap_limits_respected(h1_pq):
     # node_limit=0: the heuristic incumbent exists even before any node is
-    # explored, and the bound is h1's plain root bound.  node_limit=2: the
-    # root's children (-400 and -100) both branch without an incumbent below
-    # -100, so their four children stay open and the least open bound is -400
-    cases = ((0, True, -400.0, -500.0), (2, False, -100.0, -400.0))
+    # explored, and the bound is h1's plain root bound.  node_limit=1: the
+    # root's first child finds -400 without the heuristic, and its sibling
+    # stays open at the root bound -500
+    cases = ((0, True, -400.0, -500.0), (1, False, -400.0, -500.0))
     for node_limit, heuristic, upper, lower in cases:
         report = branch_and_cut(
             h1_pq,
@@ -457,6 +459,47 @@ def test_time_limit_caps_the_heuristic_and_the_cut_rounds(monkeypatch, time_limi
         assert report.cuts == 0
         assert mips[0].nodes == 0
         assert report.nodes == 0
+
+
+def test_spent_time_limit_starts_no_lp(monkeypatch):
+    # the limit is spent before the root is popped: the heuristic's MIP gets
+    # no node and the root no LP, so nothing bounds the problem
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simplex.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "solve_lp", counting)
+    pq = build_pq(generate_instance(DESK_SPARSE_S1))
+    report = branch_and_cut(pq, GapSpec(rel_tol=1e-4, time_limit=0.0))
+    assert calls == []
+    assert (report.status, report.lower, report.nodes) == ("unknown", -math.inf, 0)
+
+
+def test_infeasible_node_holding_the_incumbent_proves_nothing(monkeypatch, h1_pq):
+    # the heuristic finds the optimum -400; every node LP after the root whose
+    # box holds that point is forced infeasible, so no node proves -400
+    incumbent = initial_primal_search(h1_pq).values
+    calls = []
+
+    def infeasible_around_incumbent(model, overrides=None, start=None):
+        calls.append(model)
+        held = all(
+            var.lower - 1e-9 <= incumbent[var.id] <= var.upper + 1e-9
+            for var in model.variables
+            if var.id in incumbent
+        )
+        if len(calls) > 1 and held:
+            return simplex.LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
+        return simplex.solve_lp(model, overrides, start=start)
+
+    monkeypatch.setattr(solve_module, "solve_lp", infeasible_around_incumbent)
+    report = branch_and_cut(h1_pq, GapSpec(rel_tol=1e-6), SolveOptions(use_pooling_cuts=False))
+    assert len(calls) > 1
+    assert report.status == "feasible"
+    assert report.upper == pytest.approx(-400.0, abs=1e-6)
+    assert report.lower == pytest.approx(-500.0, abs=1e-6)
 
 
 def test_failed_node_lp_keeps_its_bound(monkeypatch, h1_pq):

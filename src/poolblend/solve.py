@@ -362,6 +362,7 @@ def _cut_loop(
     return res, rounds
 
 
+
 def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
     """Print what ``_cut_loop`` returned, one line per LP and per round."""
     for iteration, (objective, added) in enumerate(rounds):
@@ -371,7 +372,6 @@ def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
         # the last LP was not separated: it is not optimal or the rounds ran out
         optimal = res.status is LPStatus.OPTIMAL
         print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
-
 
 def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, float] | None:
     """Variable with the largest envelope residual and room to split.

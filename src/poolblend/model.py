@@ -225,9 +225,6 @@ class Model:
             total += term.value(point)
         return total
 
-    def active_constraints(self) -> list[Constraint]:
-        return [c for c in self.constraints.values() if c.active]
-
     def is_feasible(self, point, tol: float = 1e-6) -> FeasibilityReport:
         """Check active rows and variable bounds at the point, within tol."""
         if tol <= 0:

@@ -10,7 +10,7 @@ upper bound for the original minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AlreadyRestricted,
@@ -62,14 +62,12 @@ class RestrictionSpec:
 @dataclass
 class RestrictedModel:
     pq: PQModel
-    spec: RestrictionSpec
     w: dict[tuple[str, str, int, str], int]
     zeta: dict[tuple[str, int, str], int]
     added_rows: list[str]
     vars_before: int
     prev_active: dict[str, bool]
     installed: bool = True
-    groups: dict[str, list[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -109,12 +107,6 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
     w: dict[tuple[str, str, int, str], int] = {}
     zeta: dict[tuple[str, int, str], int] = {}
     rows: list[str] = []
-    groups: dict[str, list[str]] = {
-        "flow_balance": [],
-        "flow_balance_2": [],
-        "flow_choice_limit": [],
-        "flow_choice": [],
-    }
 
     try:
         for (i, l, j) in sorted(pq.v):
@@ -137,7 +129,6 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
             name = f"flow_balance[{i},{l},{j}]"
             model.add_constraint(name, expr, Sense.EQ, 0.0)
             rows.append(name)
-            groups["flow_balance"].append(name)
 
         # flow_balance_2[i,l,t]: sum_j w = gamma[l,t] * sum_j v
         for (i, l) in sorted(pq.q):
@@ -153,7 +144,6 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
                 name = f"flow_balance_2[{i},{l},{t}]"
                 model.add_constraint(name, expr, Sense.EQ, 0.0)
                 rows.append(name)
-                groups["flow_balance_2"].append(name)
 
         # flow_choice_limit[i,l,t,j]: w <= c_lj * zeta
         for (i, l, t, j), wid in sorted(w.items()):
@@ -161,7 +151,6 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
             name = f"flow_choice_limit[{i},{l},{t},{j}]"
             model.add_constraint(name, expr, Sense.LE, 0.0)
             rows.append(name)
-            groups["flow_choice_limit"].append(name)
 
         # flow_choice[l,t]: each pool copy serves exactly one output
         for l in net.pools():
@@ -173,7 +162,6 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
                 name = f"flow_choice[{l},{t}]"
                 model.add_constraint(name, expr, Sense.EQ, 1.0)
                 rows.append(name)
-                groups["flow_choice"].append(name)
     except Exception:
         for name in rows:
             model.remove_constraint(name)
@@ -185,13 +173,11 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
 
     rm = RestrictedModel(
         pq=pq,
-        spec=spec,
         w=w,
         zeta=zeta,
         added_rows=rows,
         vars_before=vars_before,
         prev_active=prev_active,
-        groups=groups,
     )
     pq._restriction = rm
     return rm

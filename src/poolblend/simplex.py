@@ -2,11 +2,13 @@
 that re-optimizes from an earlier optimal basis.
 
 Numpy implementation sized for the instances this package generates
-(hundreds of rows).  ``solve_arrays`` decides what the simplex carries from
-one scan of the nonzeros: after the bound overrides, every row with at most
-one nonzero is a bound, so ``a * x_j (sense) b`` tightens the box of x_j by
-b/a (the sense flips for a < 0) and an empty row is checked and dropped.
-All such rows fold at once, with the same boxes as folding them one by one.
+(hundreds of rows).  ``LPArrays`` holds the rows by their nonzeros, filled
+from each row's terms, and no m x n array is formed between the model and
+the result.  ``solve_arrays`` decides what the simplex carries from the
+nonzeros' row counts: after the bound overrides, every row with at most one
+nonzero is a bound, so ``a * x_j (sense) b`` tightens the box of x_j by b/a
+(the sense flips for a < 0) and an empty row is checked and dropped.  All
+such rows fold at once, with the same boxes as folding them one by one.
 A box that crosses by at most 1e-9 relative is snapped to a point, since a
 quotient can land an ulp outside; a wider crossing is infeasible.  The
 solution keeps every column.
@@ -14,28 +16,27 @@ solution keeps every column.
 Nonbasic variables rest at a bound, rows carry slacks, and an artificial
 basis opens phase 1.  Only the structural columns are stored, by their
 nonzeros (column pointers, row indices and values, ordered by column, then
-row), and no m x n array is formed: pricing and a pivot row are one
-weighted ``np.bincount`` over the nonzeros, and so is a row activity, and
-B_inv times structural column j reads only the columns of B_inv on j's
-rows.  Slack i is the implicit unit column e_i and artificial i is
-sigma_i * e_i, so B_inv times either is one column of B_inv.  A refactor
-inverts only the structural kernel, the basic structural columns on the
-rows that no basic unit column covers, and assembles the explicit basis
-inverse blockwise from it (Suhl & Suhl's triangular pre-pass over the unit
-columns): O(k^3 + (m-k) k^2) for k basic structurals, against O(m^3) for
-the whole basis; it and the basis repair read a dense m x k block of the
-basic structural columns.  Between refactors the inverse gets a rank-1
-update: the whole outer product, in slabs of rows, when the nonzero
-supports of the pivot column and pivot row span more than 1/4 of B_inv,
-else only the entries on that support.  The skipped entries would
-subtract exact zeros, so both kernels give the same inverse up to the sign
-of a zero, and the same pivots.  Entering variable: most negative reduced-cost direction
-(Dantzig) over the columns that can move, so fixed structurals,
-equality-row slacks and phase-2 artificials are never priced, with a
-permanent switch to Bland's rule after 5*(m+n) degenerate pivots so cycling
-cannot occur.  Leaving variable: Harris's two-pass ratio test with an
-absolute tolerance, so no basic variable passes a bound by more than 1e-9;
-among the rows that block within that step the largest pivot wins.
+row): pricing and a pivot row are one weighted ``np.bincount`` over the
+nonzeros, and so is a row activity, and B_inv times structural column j
+reads only the columns of B_inv on j's rows.  Slack i is the implicit unit
+column e_i and artificial i is sigma_i * e_i, so B_inv times either is one
+column of B_inv.  A refactor inverts only the structural kernel, the basic
+structural columns on the rows that no basic unit column covers, and
+assembles the explicit basis inverse blockwise from it (Suhl & Suhl's
+triangular pre-pass over the unit columns): O(k^3 + (m-k) k^2) for k basic
+structurals, against O(m^3) for the whole basis; it and the basis repair
+read a dense m x k block of the basic structural columns.  Between refactors
+the inverse gets a rank-1 update: the whole outer product, in slabs of rows,
+when the nonzero supports of the pivot column and pivot row span more than
+1/4 of B_inv, else only the entries on that support.  The skipped entries
+would subtract exact zeros, so both kernels give the same inverse up to the
+sign of a zero, and the same pivots.  Entering variable: most negative
+reduced-cost direction (Dantzig) over the columns that can move, so fixed
+structurals, equality-row slacks and phase-2 artificials are never priced,
+with a permanent switch to Bland's rule after 5*(m+n) degenerate pivots so
+cycling cannot occur.  Leaving variable: Harris's two-pass ratio test with
+an absolute tolerance, so no basic variable passes a bound by more than
+1e-9; among the rows that block within that step the largest pivot wins.
 Deterministic for a fixed input: all ties break on the lowest variable
 index.
 
@@ -108,41 +109,58 @@ class LPResult:
 
 @dataclass
 class LPArrays:
-    """Row/column form of a model: A x (sense) b, lo <= x <= up, min c x."""
+    """Row/column form of a model: A x (sense) b, lo <= x <= up, min c x.
+
+    A is held by its nonzeros, in ascending row order: vals[k] sits at
+    (rows[k], cols[k]).
+    """
 
     c: np.ndarray
-    A: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     senses: list[str]  # '<', '=', '>'
     b: np.ndarray
     lo: np.ndarray
     up: np.ndarray
     objective_constant: float = 0.0
 
+    @property
+    def A(self) -> np.ndarray:
+        """A dense, read-only copy of the rows, for inspection; the solve
+        never forms it."""
+        dense = np.zeros((self.b.size, self.c.size))
+        dense[self.rows, self.cols] = self.vals
+        dense.flags.writeable = False
+        return dense
+
     @classmethod
     def from_model(cls, model: Model, relax_binaries: bool = False) -> "LPArrays":
-        n = len(model.variables)
         lo = np.array([v.lower for v in model.variables], dtype=float)
         up = np.array([v.upper for v in model.variables], dtype=float)
         if not relax_binaries:
             for v in model.variables:
                 if v.domain is Domain.BINARY:
                     raise ValueError(f"variable {v.name!r} is binary; LP expects continuous")
-        c = np.zeros(n)
+        c = np.zeros(len(model.variables))
         for var_id, coeff in model.objective.terms.items():
             c[var_id] = coeff
         active = [con for con in model.constraints.values() if con.active]
-        A = np.zeros((len(active), n))
         b = np.empty(len(active))
-        senses = []
+        senses, lengths, cols, vals = [], [], [], []
         for i, con in enumerate(active):
             if con.bilinear:
                 raise ValueError(f"constraint {con.name!r} has bilinear terms; relax first")
-            row = A[i]
-            for var_id, coeff in con.linear.terms.items():
-                row[var_id] = coeff
+            terms = con.linear.terms
+            lengths.append(len(terms))
+            cols.extend(terms)
+            vals.extend(terms.values())
             senses.append({"<=": "<", "==": "=", ">=": ">"}[con.sense.value])
             b[i] = con.rhs - con.linear.constant
-        return cls(c, A, senses, b, lo, up, model.objective.constant)
+        # LinearExpr holds no zero terms, so every term is a nonzero
+        rows = np.repeat(np.arange(len(active)), lengths)
+        cols, vals = np.array(cols, dtype=np.intp), np.array(vals, dtype=float)
+        return cls(c, rows, cols, vals, senses, b, lo, up, model.objective.constant)
 
 
 def solve_lp(
@@ -180,14 +198,9 @@ def solve_arrays(
         for var_id, (vlo, vup) in bound_overrides.items():
             lo[var_id] = vlo
             up[var_id] = vup
-    A, b = arrays.A, arrays.b
+    rows, cols, vals, b = arrays.rows, arrays.cols, arrays.vals, arrays.b
     kinds = np.array(arrays.senses, dtype=str)
-    # one scan for the nonzeros, in row order; np.nonzero is several times
-    # faster on a flat mask than on the 2-D array
-    n = A.shape[1]
-    at = np.flatnonzero(A != 0.0)
-    rows, cols = np.divmod(at, n)
-    vals = A.ravel()[at]
+    n = arrays.c.size
     counts = np.bincount(rows, minlength=b.size)
     if not _fold_singleton_rows(rows, cols, vals, counts, kinds, b, lo, up):
         return LPResult(LPStatus.INFEASIBLE, math.inf, np.array([]), 0)
@@ -357,28 +370,21 @@ class _Simplex:
         self.lo[self.art_start :] = 0.0
         self.up[self.art_start :] = math.inf
         resid = self.b - self._dot_rows(self.x[:n])
-        self.basis = np.empty(m, dtype=int)
-        sigma = self.sigma
-        sigma[:] = 1.0
-        for i in range(m):
-            slack = n + i
-            art = self.art_start + i
-            r = resid[i]
-            if self.lo[slack] - 1e-12 <= r <= self.up[slack] + 1e-12:
-                r = min(max(r, self.lo[slack]), self.up[slack])
-                self.basis[i] = slack
-                self.x[slack] = r
-                self.status[slack] = self.BASIC
-                self.x[art] = 0.0
-                self.status[art] = self.AT_LOWER
-            else:
-                self._park(slack, r)
-                gap = r - self.x[slack]
-                sigma[i] = 1.0 if gap >= 0 else -1.0
-                self.basis[i] = art
-                self.x[art] = abs(gap)
-                self.status[art] = self.BASIC
-        self.B_inv = np.diag(sigma) if m else np.zeros((0, 0))
+        slack = np.arange(n, n + m)
+        lo, up = self.lo[slack], self.up[slack]
+        fits = (lo - 1e-12 <= resid) & (resid <= up + 1e-12)
+        # clamped as min(max(r, lo), up) would: a tie keeps r, and its zero's sign
+        r = np.where(lo > resid, lo, resid)
+        r = np.where(up < r, up, r)
+        self.x[slack[fits]] = r[fits]
+        self.status[slack[fits]] = self.BASIC
+        self._park(slack[~fits], resid[~fits])
+        gap = resid - self.x[slack]
+        self.sigma[:] = np.where(fits | (gap >= 0), 1.0, -1.0)
+        self.basis = np.where(fits, slack, slack + m)
+        self.x[self.art_start :] = np.where(fits, 0.0, np.abs(gap))
+        self.status[self.art_start :] = np.where(fits, self.AT_LOWER, self.BASIC)
+        self.B_inv = np.diag(self.sigma)
         self.degenerate_pivots = 0
         self.bland = self._force_bland
         self._since_refactor = 0
@@ -891,20 +897,13 @@ class _Simplex:
         return float(np.max(np.abs(lhs - self.b))) / scale
 
     def _bounds_only(self) -> LPResult:
-        x = np.zeros(self.n_struct)
-        c = self.c_real[: self.n_struct]
-        for j in range(self.n_struct):
-            if c[j] > 0:
-                if not math.isfinite(self.lo[j]):
-                    return LPResult(LPStatus.UNBOUNDED, -math.inf, x, 0)
-                x[j] = self.lo[j]
-            elif c[j] < 0:
-                if not math.isfinite(self.up[j]):
-                    return LPResult(LPStatus.UNBOUNDED, -math.inf, x, 0)
-                x[j] = self.up[j]
-            else:
-                x[j] = self.lo[j] if math.isfinite(self.lo[j]) else (
-                    self.up[j] if math.isfinite(self.up[j]) else 0.0
-                )
-            self._park(j, x[j])  # so that basis_codes reports where x[j] rests
+        """No rows: each column rests at the bound its cost points to, a
+        costless one at its finite lower bound, else its upper, else 0."""
+        n = self.n_struct
+        c, lo, up = self.c_real[:n], self.lo[:n], self.up[:n]
+        if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
+            return LPResult(LPStatus.UNBOUNDED, -math.inf, np.zeros(n), 0)
+        free = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
+        x = np.where(c > 0, lo, np.where(c < 0, up, free))
+        self._park(np.arange(n), x)  # so that basis_codes reports where x rests
         return LPResult(LPStatus.OPTIMAL, float(c @ x), x, 0)

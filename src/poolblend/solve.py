@@ -373,7 +373,7 @@ def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
         optimal = res.status is LPStatus.OPTIMAL
         print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
 
-def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, float] | None:
+def _branch_variable(rm: RelaxedModel, point, overrides) -> tuple[int, float] | None:
     """Variable with the largest envelope residual and room to split.
 
     The two factors of a product tie on the residual; the tie goes to the one
@@ -387,13 +387,13 @@ def _branch_variable(rm: RelaxedModel, point, overrides, base_lp) -> tuple[int, 
             score[vid] = max(score.get(vid, 0.0), res)
 
     def rel_width(vid):
-        root = base_lp.variables[vid]
+        root = rm.lp.variables[vid]
         lo, up = overrides.get(vid, (root.lower, root.upper))
         full = max(root.upper - root.lower, 1e-12)
         return (up - lo) / full
 
     for vid in sorted(score, key=lambda v: (-score[v], -rel_width(v), v)):
-        lo, up = overrides.get(vid, (base_lp.variables[vid].lower, base_lp.variables[vid].upper))
+        lo, up = overrides.get(vid, (rm.lp.variables[vid].lower, rm.lp.variables[vid].upper))
         if up - lo > 1e-7 and score[vid] > 0.0:
             width = up - lo
             xhat = min(max(point[vid], lo + 0.2 * width), up - 0.2 * width)
@@ -483,11 +483,11 @@ def branch_and_cut(
         found = _try_incumbent(pq, res.x, search.upper)
         if found is not None:
             search.offer(*found)
-        if rm_node.mccormick_residual(res.x)[0] <= _MC_FEAS_TOL:
+        if rm_node.mccormick_residual(res.x) <= _MC_FEAS_TOL:
             # the relaxation is exact here, but the node is a proof only if
             # the incumbent meets its bound
             return bound, None
-        picked = _branch_variable(rm, res.x, node.overrides, rm.lp)
+        picked = _branch_variable(rm, res.x, node.overrides)
         if picked is None:
             return bound, None
         var_id, xhat = picked

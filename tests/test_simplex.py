@@ -1,11 +1,26 @@
+import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from poolblend import LinearExpr, Model, Sense, build_pq, relax, solve_lp
+from poolblend import (
+    GapSpec,
+    LinearExpr,
+    Model,
+    RestrictionSpec,
+    Sense,
+    SolveOptions,
+    branch_and_cut,
+    build_pq,
+    install_restriction,
+    relax,
+    solve_lp,
+    solve_mip,
+)
 import poolblend.simplex as simplex
 from poolblend.simplex import LPArrays, LPStatus, solve_arrays
 
@@ -197,6 +212,12 @@ def test_objective_constant_carries_through():
     assert res.objective == pytest.approx(5.0)
 
 
+def _arrays(c, A, senses, b, lo, up):
+    """LPArrays holding the rows of the dense matrix A by their nonzeros."""
+    rows, cols = np.nonzero(A)
+    return LPArrays(c, rows, cols, A[rows, cols], senses, b, lo, up)
+
+
 def _boxed_lp(seed, m, n, density):
     """Random rows at the given density, with the rhs at an interior point
     and loosened on the inequality rows."""
@@ -208,7 +229,7 @@ def _boxed_lp(seed, m, n, density):
     senses = [("<", ">", "=")[k] for k in rng.choice(3, size=m, p=[0.45, 0.45, 0.1])]
     slack_sign = np.array([{"<": 1.0, ">": -1.0, "=": 0.0}[s] for s in senses])
     b = A @ ((lo + up) / 2.0) + slack_sign * rng.uniform(0.0, 0.5, size=m)
-    return LPArrays(c, A, senses, b, lo, up)
+    return _arrays(c, A, senses, b, lo, up)
 
 
 # (seed, m, n, density)
@@ -353,12 +374,12 @@ def _sparse_lp(seed, m, n):
     none and column 0 nonzero only in those rows, so that no kept row
     touches it."""
     arrays = _boxed_lp(seed, m, n, 0.15)
-    A, b, mid = arrays.A, arrays.b, (arrays.lo + arrays.up) / 2.0
+    A, b, mid = arrays.A.copy(), arrays.b, (arrays.lo + arrays.up) / 2.0
     A[:, 0] = 0.0
     A[:4] = 0.0
     A[0, 0], A[1, 0], A[3, n - 1] = 2.0, -0.5, 3.0
     b[:4] = A[:4] @ mid  # the box's midpoint meets every folded row
-    return arrays
+    return _arrays(arrays.c, A, arrays.senses, b, arrays.lo, arrays.up)
 
 
 def test_column_storage_matches_the_dense_products(monkeypatch):
@@ -398,7 +419,7 @@ def test_column_storage_matches_the_dense_products(monkeypatch):
         close(split.columns, A[:, s.basis[split.struct]])
 
     # every row folds: rows 0-2 into bounds on x0 and x1, row 3 is empty
-    arrays = LPArrays(
+    arrays = _arrays(
         np.array([1.0, -2.0, 0.5]),
         np.array([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]),
         [">", ">", "<", "<"],
@@ -441,7 +462,7 @@ def test_forced_bland_reaches_phase_two(monkeypatch, h1):
 def test_ratio_test_overshoots_no_bound_by_more_than_tolerance():
     """Harris's window is absolute: a long step must not push a tied basic
     variable far enough past its bound to fail the final drift check."""
-    arrays = LPArrays(
+    arrays = _arrays(
         np.array([-1.0, 0.0]),
         np.array([[2.0, 1.0], [1.0, 1.0]]),
         ["<", "<"],
@@ -466,7 +487,7 @@ def test_fixed_columns_never_enter(monkeypatch):
 
     monkeypatch.setattr(simplex._Simplex, "_choose_entering", recording_choose)
     # x0 is fixed at 1; row 0 is an equality, so its slack is fixed at 0
-    arrays = LPArrays(
+    arrays = _arrays(
         np.array([-10.0, -1.0, 0.0]),
         np.array([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0]]),
         ["=", "<"],
@@ -485,13 +506,13 @@ def test_singleton_row_crossing_by_an_ulp_snaps_to_a_point():
     # 0.7 x0 = 0.07 folds to lo = up = 0.07 / 0.7, one ulp above 0.1
     assert 0.07 / 0.7 == np.nextafter(0.1, 1.0)
     row = np.array([[0.7, 0.0], [1.0, 1.0]])
-    arrays = LPArrays(np.array([1.0, 1.0]), row, ["=", ">"], np.array([0.07, 0.5]), lo, up)
+    arrays = _arrays(np.array([1.0, 1.0]), row, ["=", ">"], np.array([0.07, 0.5]), lo, up)
     res = solve_arrays(arrays)
     assert res.status is LPStatus.OPTIMAL
     assert res.x[0] == 0.1
     assert res.objective == pytest.approx(0.5, rel=1e-12)
     # a real crossing stays infeasible
-    wide = LPArrays(arrays.c, row, ["=", ">"], np.array([0.0707, 0.5]), lo, up)
+    wide = _arrays(arrays.c, row, ["=", ">"], np.array([0.0707, 0.5]), lo, up)
     assert solve_arrays(wide).status is LPStatus.INFEASIBLE
 
 
@@ -499,7 +520,7 @@ def test_singleton_rows_of_every_sense_fold_into_one_box():
     # on x0: 2 x0 <= 6 (x0 <= 3), -4 x0 >= -8 (x0 <= 2) and 0.5 x0 = 0.75
     rows = np.array([[2.0, 0.0], [-4.0, 0.0], [0.5, 0.0], [1.0, 1.0]])
     lo, up = np.array([-10.0, 0.0]), np.array([10.0, 1.0])
-    arrays = LPArrays(
+    arrays = _arrays(
         np.array([1.0, 1.0]), rows, ["<", ">", "=", ">"], np.array([6.0, -8.0, 0.75, 2.0]), lo, up
     )
     res = solve_arrays(arrays)
@@ -507,7 +528,7 @@ def test_singleton_rows_of_every_sense_fold_into_one_box():
     assert res.x.tolist() == [1.5, 0.5]
     # the = row past the > row's bound empties the box
     b = np.array([6.0, -8.0, 1.25, 2.0])
-    assert solve_arrays(LPArrays(arrays.c, rows, arrays.senses, b, lo, up)).status is (
+    assert solve_arrays(_arrays(arrays.c, rows, arrays.senses, b, lo, up)).status is (
         LPStatus.INFEASIBLE
     )
 
@@ -617,7 +638,7 @@ def test_dual_phase_ends_on_an_optimal_basis(monkeypatch):
         # eight rows that cut the optimum off
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(8, 40)) * (rng.random((8, 40)) < 0.5)
-        arrays = LPArrays(
+        arrays = _arrays(
             lp.c, np.vstack([lp.A, rows]), lp.senses + ["<"] * 8,
             np.concatenate([lp.b, rows @ first.x - 0.3]), lp.lo, lp.up,
         )
@@ -682,3 +703,164 @@ def test_start_that_does_not_fit_solves_cold(h1):
     assert warm.x.tobytes() == cold.x.tobytes()
     assert warm.iterations == cold.iterations
     assert np.array_equal(warm.basis, cold.basis)
+
+
+def test_from_model_keeps_the_terms_as_nonzeros(h1):
+    """The rows' nonzeros are the active rows' terms, in ascending row
+    order, with the zero that LinearExpr drops left out, and A is their
+    dense fill."""
+    model = relax(build_pq(h1).model).lp
+    first = next(iter(model.constraints.values()))
+    model.deactivate(first.name)
+    model.add_constraint("zero", LinearExpr({0: 0.0, 1: 2.0}), Sense.LE, 1.0)
+    arrays = LPArrays.from_model(model)
+    active = [con for con in model.constraints.values() if con.active]
+    assert np.all(np.diff(arrays.rows) >= 0) and np.all(arrays.vals != 0.0)
+    dense = np.zeros((len(active), len(model.variables)))
+    for i, con in enumerate(active):
+        at = arrays.rows == i
+        assert dict(zip(arrays.cols[at].tolist(), arrays.vals[at].tolist())) == con.linear.terms
+        for k, v in con.linear.terms.items():
+            dense[i, k] = v
+    assert arrays.A.tobytes() == dense.tobytes()
+    assert not arrays.A.flags.writeable
+
+
+def test_solvers_never_read_the_dense_matrix(monkeypatch, h1):
+    def refuse(self):
+        raise AssertionError("LPArrays.A read")
+
+    monkeypatch.setattr(LPArrays, "A", property(refuse))
+    pq = build_pq(h1)
+    assert solve_lp(relax(pq.model).lp).status is LPStatus.OPTIMAL
+    assert branch_and_cut(pq, GapSpec(rel_tol=1e-4), SolveOptions()).status == "optimal"
+    install_restriction(pq, RestrictionSpec(tau=2))
+    assert solve_mip(pq.model, GapSpec(rel_tol=0.01)).incumbent is not None
+
+
+def test_wide_sparse_lp_forms_no_m_by_n_array():
+    """from_model and the solve together stay below the bytes of a dense A."""
+    rng = np.random.default_rng(3)
+    m, n = 100, 800
+    model = Model("wide")
+    for k in range(n):
+        model.add_variable(f"x{k}", 0.0, 1.0)
+    model.objective = LinearExpr({k: float(c) for k, c in enumerate(rng.normal(size=n))})
+    for r in range(m):
+        cols = rng.choice(n, size=12, replace=False)
+        coeffs = rng.uniform(0.5, 2.0, size=12)
+        model.add_constraint(
+            f"r{r}", LinearExpr(dict(zip(cols.tolist(), coeffs.tolist()))), Sense.LE,
+            float(coeffs.sum()) / 3.0,
+        )
+    tracemalloc.start()
+    try:
+        res = solve_arrays(LPArrays.from_model(model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status is LPStatus.OPTIMAL
+    assert peak < m * n * 8
+
+
+def _cold_start_by_loop(s):
+    """_cold_start one row at a time, clamping as min and max of Python floats."""
+    m, n = s.m, s.n
+    basic = np.flatnonzero(s.status[: n + m] == s.BASIC)
+    s._park(basic, s.x[basic])
+    s.lo[s.art_start :] = 0.0
+    s.up[s.art_start :] = math.inf
+    resid = s.b - s._dot_rows(s.x[:n])
+    s.basis = np.empty(m, dtype=int)
+    s.sigma[:] = 1.0
+    for i in range(m):
+        slack, art, r = n + i, s.art_start + i, resid[i]
+        if s.lo[slack] - 1e-12 <= r <= s.up[slack] + 1e-12:
+            s.basis[i] = slack
+            s.x[slack] = min(max(r, s.lo[slack]), s.up[slack])
+            s.status[slack] = s.BASIC
+            s.x[art] = 0.0
+            s.status[art] = s.AT_LOWER
+        else:
+            s._park(slack, r)
+            gap = r - s.x[slack]
+            s.sigma[i] = 1.0 if gap >= 0 else -1.0
+            s.basis[i] = art
+            s.x[art] = abs(gap)
+            s.status[art] = s.BASIC
+
+
+def test_cold_start_gives_the_loops_basis_bit_for_bit():
+    """From the first point and from the optimum, as a restart would; rows
+    with b = -0.0 host a slack of -0.0, as min(max(...)) leaves it."""
+    checked = 0
+    for seed in range(6):
+        arrays = _boxed_lp(seed, 40, 30, 0.2)
+        A, b = arrays.A.copy(), arrays.b.copy()
+        A[:12] = 0.0  # empty rows, whose activity is 0.0
+        b[:6] = -0.0
+        b[6:9] = 0.0
+        b[9:12] = -1e-13  # within 1e-12 below a slack's bound: clamped, sigma stays +1
+        rows, cols = np.nonzero(A)
+        s = simplex._Simplex(
+            arrays.c, rows, cols, A[rows, cols], arrays.senses, b, arrays.lo, arrays.up
+        )
+        for state in ("first", "optimum"):
+            if state == "optimum":
+                assert s.run().status is LPStatus.OPTIMAL
+            mine, loop = copy.deepcopy(s), copy.deepcopy(s)
+            mine._cold_start()
+            _cold_start_by_loop(loop)
+            assert mine.basis.tolist() == loop.basis.tolist()
+            assert mine.x.tobytes() == loop.x.tobytes()
+            assert mine.status.tobytes() == loop.status.tobytes()
+            assert mine.sigma.tobytes() == loop.sigma.tobytes()
+            assert np.signbit(mine.x[s.n : s.n + 6]).all()
+            checked += int(np.any(loop.sigma < 0))
+    assert checked  # some rows start on an artificial at sign -1
+
+
+def _bounds_only_by_loop(s):
+    """_bounds_only one column at a time; None where it is unbounded."""
+    x = np.zeros(s.n)
+    c = s.c_real[: s.n]
+    for j in range(s.n):
+        if c[j] > 0:
+            if not math.isfinite(s.lo[j]):
+                return None
+            x[j] = s.lo[j]
+        elif c[j] < 0:
+            if not math.isfinite(s.up[j]):
+                return None
+            x[j] = s.up[j]
+        else:
+            x[j] = s.lo[j] if math.isfinite(s.lo[j]) else (
+                s.up[j] if math.isfinite(s.up[j]) else 0.0
+            )
+        s._park(j, x[j])
+    return x
+
+
+def test_bounds_only_matches_the_loop():
+    """With no rows every column rests where the column loop put it, signed
+    zeros included, and is parked there."""
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for _ in range(50):
+        n = 8
+        c = rng.choice([-1.0, 0.0, -0.0, 1.0], size=n)
+        lo = rng.choice([-math.inf, -1.0, -0.0, 0.0], size=n)
+        up = rng.choice([math.inf, 2.0, -0.0, 0.0], size=n)
+        s = simplex._Simplex(c, [], [], [], [], np.zeros(0), lo, up)
+        loop = copy.deepcopy(s)
+        expected = _bounds_only_by_loop(loop)
+        res = s.run()
+        outcomes.add(res.status)
+        if expected is None:
+            assert res.status is LPStatus.UNBOUNDED
+            continue
+        assert res.status is LPStatus.OPTIMAL
+        assert res.x.tobytes() == expected.tobytes()
+        assert s.status.tobytes() == loop.status.tobytes()
+        assert s.x.tobytes() == loop.x.tobytes()
+    assert outcomes == {LPStatus.OPTIMAL, LPStatus.UNBOUNDED}

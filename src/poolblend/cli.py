@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, solve, heuristic, cutloop, bench.  Exit codes:
-0 on success, 1 on usage errors, 2 when a bench batch contains failed cells.
+0 on success; 1 on usage errors and on an instance that cannot be read or
+modelled, reported as one ``poolblend: error:`` line on stderr; 2 when a
+bench batch contains failed cells.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .network import Network
 from .pq import build_pq
 from .solve import GapSpec, _cut_loop, branch_and_cut, initial_primal_search, print_cut_rounds
 from .cuts import add_all_pooling_inequalities
+from .errors import PoolblendError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +147,11 @@ def main(argv: list[str] | None = None) -> int:
         "cutloop": _cmd_cutloop,
         "bench": _cmd_bench,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (PoolblendError, OSError) as exc:
+        print(f"poolblend: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -186,14 +186,6 @@ class Model:
         self.constraints[name] = con
         return con
 
-    def remove_constraint(self, name: str) -> None:
-        self.constraints.pop(name, None)
-
-    def truncate_variables(self, count: int) -> None:
-        """Drop the trailing variables; callers guarantee nothing references them."""
-        assert count <= len(self.variables)
-        del self.variables[count:]
-
     def constraint(self, name: str) -> Constraint:
         try:
             return self.constraints[name]

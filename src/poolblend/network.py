@@ -92,6 +92,9 @@ class Edge:
 
 
 def _check_capacity(lower, upper, what: str) -> None:
+    for label, value in (("capacity_lower", lower), ("capacity_upper", upper)):
+        if value is not None and math.isnan(value):
+            raise InvalidBounds(f"{what}: {label} is NaN")
     if lower is not None and lower < 0:
         raise InvalidBounds(f"{what}: capacity_lower {lower} is negative")
     if upper is not None and upper < 0:
@@ -300,7 +303,7 @@ class Network:
                 name=_require(node_doc, "name", str, path),
                 capacity_lower=lo,
                 capacity_upper=hi,
-                cost=_number(node_doc.get("cost", 0.0), f"{path}.cost"),
+                cost=_finite(node_doc.get("cost", 0.0), f"{path}.cost"),
                 attr=_parse_attr(node_doc, path),
             )
         for idx, edge_doc in enumerate(_require(doc, "edges", list, "$")):
@@ -313,8 +316,8 @@ class Network:
                 destination=_require(edge_doc, "destination", str, path),
                 capacity_lower=lo,
                 capacity_upper=hi,
-                cost=_number(edge_doc.get("cost", 0.0), f"{path}.cost"),
-                fixed_cost=_number(edge_doc.get("fixed_cost", 0.0), f"{path}.fixed_cost"),
+                cost=_finite(edge_doc.get("cost", 0.0), f"{path}.cost"),
+                fixed_cost=_finite(edge_doc.get("fixed_cost", 0.0), f"{path}.fixed_cost"),
                 attr=_parse_attr(edge_doc, path),
             )
         return net.freeze()
@@ -346,6 +349,13 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _finite(value, path: str) -> float:
+    number = _number(value, path)
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {number}")
+    return number
+
+
 def _parse_capacity(doc: dict, path: str) -> tuple[float | None, float | None]:
     cap = doc.get("capacity", [None, None])
     if not isinstance(cap, list) or len(cap) != 2:
@@ -359,4 +369,10 @@ def _parse_attr(doc: dict, path: str) -> dict:
     attr = doc.get("attr") or {}
     if not isinstance(attr, dict):
         raise ParseError(f"{path}.attr: expected object")
+    for key in ("quality", "quality_upper", "quality_lower"):
+        table = attr.get(key, {})
+        if not isinstance(table, dict):
+            raise ParseError(f"{path}.attr.{key}: expected object")
+        for k, value in table.items():
+            _finite(value, f"{path}.attr.{key}.{k}")
     return attr

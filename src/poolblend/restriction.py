@@ -5,6 +5,10 @@ fraction gamma[l,t] of the pool's inflow and may serve exactly one output.
 With the bilinear path rows switched off the restricted model is a MIP whose
 feasible points map back to feasible pooling solutions, so its optimum is an
 upper bound for the original minimization.
+
+``install_restriction`` builds the MIP on a clone of ``pq.model`` and swaps
+the clone in; ``uninstall_restriction`` swaps the original back.  The model
+``build_pq`` returned is never written, so there is nothing to undo.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import (
     InvalidWeights,
     UnboundedOutputCapacity,
 )
-from .model import Domain, LinearExpr, Sense
+from .model import Domain, LinearExpr, Model, Sense
 from .pq import PQModel, flow_cap, index_set_lj
 
 __all__ = [
@@ -50,6 +54,8 @@ class RestrictionSpec:
                 weights.append(float(self.gamma[(pool, t)]))
             except KeyError:
                 raise InvalidWeights(f"missing weight for pool {pool!r}, copy {t}") from None
+        if not all(math.isfinite(w) for w in weights):
+            raise InvalidWeights(f"non-finite weight for pool {pool!r}: {weights}")
         if any(w < 0 for w in weights):
             raise InvalidWeights(f"negative weight for pool {pool!r}")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -62,12 +68,11 @@ class RestrictionSpec:
 @dataclass
 class RestrictedModel:
     pq: PQModel
+    # the model build_pq returned, and its restricted clone
+    base: Model
+    model: Model
     w: dict[tuple[str, str, int, str], int]
     zeta: dict[tuple[str, int, str], int]
-    added_rows: list[str]
-    vars_before: int
-    prev_active: dict[str, bool]
-    installed: bool = True
 
 
 @dataclass
@@ -77,127 +82,90 @@ class RestoredSolution:
 
 
 def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
+    """Set ``pq.model`` to a restricted clone of it, until
+    ``uninstall_restriction``.
+
+    The clone switches off the ``path_definition`` and ``pq_cut`` rows and
+    adds the ``w`` and ``zeta`` columns and the ``flow_balance``,
+    ``flow_balance_2``, ``flow_choice_limit`` and ``flow_choice`` rows.  A
+    failed install leaves ``pq`` as it was.
+    """
     if getattr(pq, "_restriction", None) is not None:
         raise AlreadyRestricted("a restriction is already installed on this model")
     net = pq.network
-    model = pq.model
-
-    # validate all weights and caps up front so a bad spec leaves the model
-    # untouched
     per_pool_weights = {l: spec.weights_for(l) for l in net.pools()}
-    lj = index_set_lj(net)
-    cap_lj = {(l, j): flow_cap(net, l, j) for l, j in lj}
+    outputs = {l: net.outputs_of_pool(l) for l in net.pools()}
+    cap_lj = {(l, j): flow_cap(net, l, j) for l, j in index_set_lj(net)}
     for (l, j), hi in cap_lj.items():
         if not math.isfinite(hi):
             raise UnboundedOutputCapacity(
                 f"flow bound for {l!r}->{j!r} is unbounded; the restriction needs a finite cap"
             )
 
-    prev_active = {}
+    base = pq.model
+    model = base.clone()
     for group in ("path_definition", "pq_cut"):
         for name in pq.groups.get(group, []):
-            prev_active[name] = model.constraints[name].active
             model.deactivate(name)
-
-    vars_before = len(model.variables)
-    by_pool_outputs: dict[str, list[str]] = {}
-    for l, j in lj:
-        by_pool_outputs.setdefault(l, []).append(j)
 
     w: dict[tuple[str, str, int, str], int] = {}
     zeta: dict[tuple[str, int, str], int] = {}
-    rows: list[str] = []
-
-    try:
-        for (i, l, j) in sorted(pq.v):
-            for t in range(1, spec.tau + 1):
-                w[(i, l, t, j)] = model.add_variable(
-                    f"w[{i},{l},{t},{j}]", 0.0, cap_lj[(l, j)]
+    for (i, l, j) in sorted(pq.v):
+        for t in range(1, spec.tau + 1):
+            w[(i, l, t, j)] = model.add_variable(
+                f"w[{i},{l},{t},{j}]", 0.0, cap_lj[(l, j)]
+            ).id
+    for l in net.pools():
+        for t in range(1, spec.tau + 1):
+            for j in outputs[l]:
+                zeta[(l, t, j)] = model.add_variable(
+                    f"zeta[{l},{t},{j}]", 0.0, 1.0, Domain.BINARY
                 ).id
-        for l in net.pools():
-            for t in range(1, spec.tau + 1):
-                for j in by_pool_outputs.get(l, []):
-                    zeta[(l, t, j)] = model.add_variable(
-                        f"zeta[{l},{t},{j}]", 0.0, 1.0, Domain.BINARY
-                    ).id
 
-        # flow_balance[i,l,j]: v = sum_t w
-        for (i, l, j), vid in sorted(pq.v.items()):
-            expr = LinearExpr({vid: 1.0})
-            for t in range(1, spec.tau + 1):
-                expr.add_term(w[(i, l, t, j)], -1.0)
-            name = f"flow_balance[{i},{l},{j}]"
-            model.add_constraint(name, expr, Sense.EQ, 0.0)
-            rows.append(name)
+    # flow_balance[i,l,j]: v = sum_t w
+    for (i, l, j), vid in sorted(pq.v.items()):
+        expr = LinearExpr({vid: 1.0})
+        for t in range(1, spec.tau + 1):
+            expr.add_term(w[(i, l, t, j)], -1.0)
+        model.add_constraint(f"flow_balance[{i},{l},{j}]", expr, Sense.EQ, 0.0)
 
-        # flow_balance_2[i,l,t]: sum_j w = gamma[l,t] * sum_j v
-        for (i, l) in sorted(pq.q):
-            served = by_pool_outputs.get(l, [])
-            if not served:
-                continue
-            weights = per_pool_weights[l]
-            for t in range(1, spec.tau + 1):
-                expr = LinearExpr()
-                for j in served:
-                    expr.add_term(w[(i, l, t, j)], 1.0)
-                    expr.add_term(pq.v[(i, l, j)], -weights[t - 1])
-                name = f"flow_balance_2[{i},{l},{t}]"
-                model.add_constraint(name, expr, Sense.EQ, 0.0)
-                rows.append(name)
+    # flow_balance_2[i,l,t]: sum_j w = gamma[l,t] * sum_j v
+    for (i, l) in sorted(pq.q):
+        served = outputs[l]
+        if not served:
+            continue
+        weights = per_pool_weights[l]
+        for t in range(1, spec.tau + 1):
+            expr = LinearExpr()
+            for j in served:
+                expr.add_term(w[(i, l, t, j)], 1.0)
+                expr.add_term(pq.v[(i, l, j)], -weights[t - 1])
+            model.add_constraint(f"flow_balance_2[{i},{l},{t}]", expr, Sense.EQ, 0.0)
 
-        # flow_choice_limit[i,l,t,j]: w <= c_lj * zeta
-        for (i, l, t, j), wid in sorted(w.items()):
-            expr = LinearExpr({wid: 1.0, zeta[(l, t, j)]: -cap_lj[(l, j)]})
-            name = f"flow_choice_limit[{i},{l},{t},{j}]"
-            model.add_constraint(name, expr, Sense.LE, 0.0)
-            rows.append(name)
+    # flow_choice_limit[i,l,t,j]: w <= c_lj * zeta
+    for (i, l, t, j), wid in sorted(w.items()):
+        expr = LinearExpr({wid: 1.0, zeta[(l, t, j)]: -cap_lj[(l, j)]})
+        model.add_constraint(f"flow_choice_limit[{i},{l},{t},{j}]", expr, Sense.LE, 0.0)
 
-        # flow_choice[l,t]: each pool copy serves exactly one output
-        for l in net.pools():
-            served = by_pool_outputs.get(l, [])
-            if not served:
-                continue
-            for t in range(1, spec.tau + 1):
-                expr = LinearExpr({zeta[(l, t, j)]: 1.0 for j in served})
-                name = f"flow_choice[{l},{t}]"
-                model.add_constraint(name, expr, Sense.EQ, 1.0)
-                rows.append(name)
-    except Exception:
-        for name in rows:
-            model.remove_constraint(name)
-        model.truncate_variables(vars_before)
-        for name, active in prev_active.items():
-            if active:
-                model.activate(name)
-        raise
+    # flow_choice[l,t]: each pool copy serves exactly one output
+    for l, served in outputs.items():
+        if not served:
+            continue
+        for t in range(1, spec.tau + 1):
+            expr = LinearExpr({zeta[(l, t, j)]: 1.0 for j in served})
+            model.add_constraint(f"flow_choice[{l},{t}]", expr, Sense.EQ, 1.0)
 
-    rm = RestrictedModel(
-        pq=pq,
-        w=w,
-        zeta=zeta,
-        added_rows=rows,
-        vars_before=vars_before,
-        prev_active=prev_active,
-    )
+    rm = RestrictedModel(pq=pq, base=base, model=model, w=w, zeta=zeta)
+    pq.model = model
     pq._restriction = rm
     return rm
 
 
 def uninstall_restriction(rm: RestrictedModel) -> PQModel:
-    """Remove the sub-block and restore activation state; idempotent."""
-    if not rm.installed:
-        return rm.pq
-    model = rm.pq.model
-    for name in rm.added_rows:
-        model.remove_constraint(name)
-    model.truncate_variables(rm.vars_before)
-    for name, active in rm.prev_active.items():
-        if active:
-            model.activate(name)
-        else:
-            model.deactivate(name)
-    rm.installed = False
-    rm.pq._restriction = None
+    """Put the original model back; idempotent."""
+    if rm.pq._restriction is rm:
+        rm.pq.model = rm.base
+        rm.pq._restriction = None
     return rm.pq
 
 
@@ -216,15 +184,11 @@ def fractional_flow_values(pq: PQModel, point) -> dict[int, float]:
     for (i, j), zid in pq.y_bypass.items():
         values[zid] = float(point[zid])
 
-    by_pool_outputs: dict[str, list[str]] = {}
-    for (l, j) in pq.y_pool:
-        by_pool_outputs.setdefault(l, []).append(j)
-
     for l in net.pools():
         feeders = net.inputs_to_pool(l)
         if not feeders:
             continue
-        served = by_pool_outputs.get(l, [])
+        served = net.outputs_of_pool(l)
         totals = {j: sum(float(point[pq.v[(i, l, j)]]) for i in feeders) for j in served}
         throughput = sum(totals.values())
         if throughput <= _ZERO_THROUGHPUT:
@@ -244,34 +208,15 @@ def fractional_flow_values(pq: PQModel, point) -> dict[int, float]:
 def derive_fractional_flows(rm: RestrictedModel, solution) -> RestoredSolution:
     """Turn a restricted-model solution into a full pooling assignment
     (see fractional_flow_values) and check it against the pooling rows."""
-    pq = rm.pq
-    model = pq.model
-    if rm.installed:
-        report = model.is_feasible(solution, tol=1e-6)
-        if not report:
-            raise InfeasibleInput(
-                f"solution violates {report.worst_name} by {report.worst_residual:.3g}"
-            )
-
-    values = fractional_flow_values(pq, solution)
-
-    worst, worst_name = 0.0, None
-    for name, con in model.constraints.items():
-        if name in rm.added_rows:
-            continue
-        active = rm.prev_active.get(name, con.active)
-        if not active:
-            continue
-        res = con.residual(values)
-        if res > worst:
-            worst, worst_name = res, name
-    for var in model.variables[: rm.vars_before]:
-        value = values[var.id]
-        res = max(var.lower - value, value - var.upper, 0.0)
-        if res > worst:
-            worst, worst_name = res, f"bounds[{var.name}]"
-    if worst > 1e-6:
+    report = rm.model.is_feasible(solution, tol=1e-6)
+    if not report:
         raise InfeasibleInput(
-            f"derived assignment violates {worst_name} by {worst:.3g}"
+            f"solution violates {report.worst_name} by {report.worst_residual:.3g}"
         )
-    return RestoredSolution(values=values, objective=model.objective_value(values))
+    values = fractional_flow_values(rm.pq, solution)
+    report = rm.base.is_feasible(values, tol=1e-6)
+    if not report:
+        raise InfeasibleInput(
+            f"derived assignment violates {report.worst_name} by {report.worst_residual:.3g}"
+        )
+    return RestoredSolution(values=values, objective=rm.base.objective_value(values))

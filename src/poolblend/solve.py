@@ -253,6 +253,10 @@ def initial_primal_search(
     """Find a feasible pooling solution through the restriction MIP that
     splits each pool into ``tau`` single-output copies.
 
+    The MIP is solved on a restricted clone of ``pq.model`` that is swapped
+    in for the solve and swapped out afterwards; ``pq.model`` itself is left
+    as it was.
+
     Refuses models carrying bilinear rows outside the pooling core: the
     restriction of such a model would silently drop them.
     """

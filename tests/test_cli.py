@@ -89,3 +89,19 @@ def test_bench_unknown_config_exits_1(tmp_path):
         "--out-csv", str(tmp_path / "r.csv"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"name": "bad", "nodes": [{"name": "i1"}], "edges": []}', "not json"],
+    ids=["missing", "malformed", "not-json"],
+)
+def test_unreadable_instance_is_one_error_line(tmp_path, capsys, content):
+    inst = tmp_path / "inst.json"
+    if content is not None:
+        inst.write_text(content)
+    assert main(["solve", "--instance", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("poolblend: error: ")
+    assert captured.err.count("\n") == 1

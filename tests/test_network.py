@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,4 +185,44 @@ def test_parse_error_on_bad_attr(h1):
     doc = json.loads(h1.to_json())
     doc["nodes"][0]["attr"] = ["not", "a", "dict"]
     with pytest.raises(ParseError, match="attr"):
+        Network.from_json(json.dumps(doc))
+
+
+def test_nan_capacity_rejected(h1):
+    net = Network("n")
+    with pytest.raises(InvalidBounds, match="capacity_upper is NaN"):
+        net.add_node(0, "i1", capacity_upper=math.nan)
+    with pytest.raises(InvalidBounds, match="capacity_lower is NaN"):
+        net.add_node(0, "i1", capacity_lower=math.nan)
+    assert "i1" not in net.nodes
+    # json.dumps writes NaN, and json.loads reads it back as a float
+    doc = json.loads(h1.to_json())
+    doc["nodes"][0]["capacity"] = [None, math.nan]
+    with pytest.raises(InvalidBounds, match="i1"):
+        Network.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        ("nodes.0.cost", math.nan, r"\$\.nodes\[0\]\.cost: expected a finite number"),
+        ("nodes.0.cost", math.inf, r"\$\.nodes\[0\]\.cost: expected a finite number"),
+        ("edges.0.fixed_cost", math.nan, r"\$\.edges\[0\]\.fixed_cost: expected a finite"),
+        ("nodes.0.attr.quality.sulfur", "3.0", r"\.attr\.quality\.sulfur: expected number"),
+        ("nodes.0.attr.quality.sulfur", True, r"\.attr\.quality\.sulfur: expected number"),
+        ("nodes.0.attr.quality.sulfur", math.nan, r"\.attr\.quality\.sulfur: expected a finite"),
+        ("nodes.3.attr.quality_upper.sulfur", -math.inf, r"\[3\]\.attr\.quality_upper\.sulfur"),
+        ("nodes.3.attr.quality_upper.sulfur", None, r"quality_upper\.sulfur: expected number"),
+        ("nodes.3.attr.quality_lower", {"sulfur": "low"}, r"quality_lower\.sulfur: expected"),
+        ("nodes.0.attr.quality", [3.0], r"\$\.nodes\[0\]\.attr\.quality: expected object"),
+    ],
+)
+def test_json_non_numbers_rejected_with_path(h1, path, value, match):
+    doc = json.loads(h1.to_json())
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match=match):
         Network.from_json(json.dumps(doc))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from poolblend import (
@@ -33,12 +35,16 @@ def test_tau1_collapse(h1_pq):
 
 
 def test_bad_weights_rejected(h1_pq):
-    gamma = {("l1", 1): 0.5, ("l1", 2): 0.4}  # sums to 0.9
-    with pytest.raises(InvalidWeights):
-        install_restriction(h1_pq, RestrictionSpec(tau=2, gamma=gamma))
-    # failed install leaves the model untouched
-    for name in h1_pq.groups["path_definition"]:
-        assert h1_pq.model.constraints[name].active
+    for gamma in (
+        {("l1", 1): 0.5, ("l1", 2): 0.4},  # sums to 0.9
+        # a NaN sum is never more than the tolerance away from 1
+        {("l1", 1): math.nan, ("l1", 2): 0.5},
+    ):
+        with pytest.raises(InvalidWeights):
+            install_restriction(h1_pq, RestrictionSpec(tau=2, gamma=gamma))
+        # failed install leaves the model untouched
+        for name in h1_pq.groups["path_definition"]:
+            assert h1_pq.model.constraints[name].active
 
 
 def test_install_uninstall_round_trip(h1_pq):
@@ -127,3 +133,31 @@ def test_restriction_upper_bounds_h1_optimum(h1_pq):
     result = solve_mip(h1_pq.model, GapSpec(rel_tol=1e-9, abs_tol=1e-9))
     assert result.objective >= -400.0 - 1e-6
     assert result.objective == pytest.approx(-400.0, abs=1e-6)
+
+
+def _columns(model):
+    return [(v.id, v.name, v.lower, v.upper, v.domain) for v in model.variables]
+
+
+def test_restriction_never_writes_the_built_model(h1_pq):
+    base = h1_pq.model
+    dump, columns = base.dump(), _columns(base)
+    rm = install_restriction(h1_pq, RestrictionSpec(tau=2))
+    assert h1_pq.model is rm.model and rm.base is base and rm.model is not base
+    result = solve_mip(h1_pq.model, GapSpec(rel_tol=1e-9, abs_tol=1e-9))
+    solution = derive_fractional_flows(rm, result.incumbent)
+    assert (base.dump(), _columns(base)) == (dump, columns)
+    uninstall_restriction(rm)
+    assert h1_pq.model is base
+    assert (base.dump(), _columns(base)) == (dump, columns)
+    assert base.is_feasible(solution.values, 1e-6)
+
+
+def test_derive_after_uninstall_still_checks_the_solution(h1_pq):
+    rm = install_restriction(h1_pq, RestrictionSpec(tau=1))
+    result = solve_mip(h1_pq.model, GapSpec(rel_tol=1e-9, abs_tol=1e-9))
+    bad = {vid: 123.0 for vid in range(len(h1_pq.model.variables))}
+    uninstall_restriction(rm)
+    with pytest.raises(InfeasibleInput, match="solution violates"):
+        derive_fractional_flows(rm, bad)
+    assert derive_fractional_flows(rm, result.incumbent).objective == pytest.approx(-400.0)

@@ -97,6 +97,8 @@ def _check_capacity(lower, upper, what: str) -> None:
             raise InvalidBounds(f"{what}: {label} is NaN")
     if lower is not None and lower < 0:
         raise InvalidBounds(f"{what}: capacity_lower {lower} is negative")
+    if lower is not None and math.isinf(lower):
+        raise InvalidBounds(f"{what}: capacity_lower is infinite")
     if upper is not None and upper < 0:
         raise InvalidBounds(f"{what}: capacity_upper {upper} is negative")
     if lower is not None and upper is not None and lower > upper:

@@ -187,10 +187,13 @@ def solve_arrays(
     these rows, the solve re-optimizes from ``start.basis``: rows it has not
     seen enter with their slack basic, a dual phase restores primal
     feasibility or proves the rows infeasible, and primal phase 2 finishes.
-    A start that does not fit, or a warm solve that ends in neither a
-    verified optimum nor a proof of infeasibility, falls back to the cold
-    solve, so ``start`` can change the time and the pivot count but not the
-    status.  Without ``start`` the solve is cold.
+    The start may come from arrays with other coefficients or boxes, as a
+    fixed-q LP starts from one at another q: its basis is then neither
+    primal nor dual feasible in general, and it only saves pivots when it
+    is near.  A start that does not fit, or a warm solve that ends in
+    neither a verified optimum nor a proof of infeasibility, falls back to
+    the cold solve, so ``start`` can change the time and the pivot count but
+    not the status.  Without ``start`` the solve is cold.
     """
     lo = arrays.lo.copy()
     up = arrays.up.copy()

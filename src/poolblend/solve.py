@@ -17,13 +17,21 @@ exists, each node that branches also solves a fix-and-solve rounding LP with
 every binary at its rounded value.
 
 Spatial branch & cut has one node evaluation: its root is the first node
-the search pops, evaluated on the root relaxation itself with a cold LP.
+the search pops, and every node, the root included, is evaluated on a clone
+of the root relaxation.  The root's LP is cold.
 Each later node starts from the LP result its parent ended with, after the
 parent's cut rounds, and each cut round from the round before.  The
 gradient cuts are globally valid, so the cut block keeps one pool for the
 whole tree: a cut found at a node goes into the node's clone and into the
 root relaxation that later nodes clone.  Nodes run one at a time, so a
 parent's last LP is a row prefix of its child's LP and the start fits.
+
+Every node that its bound does not fathom offers an incumbent from one LP:
+the pool fractions q are fixed at the flow ratios of the node's point, which
+makes the pooling model an LP whose optimum is the best flow for that q
+(Audet et al., Management Sci. 50 (2004)).  Its arrays are built once per
+search; each call substitutes the fixed q and the path flows ``v = q*y``
+into them, and starts from the last fixed-q result.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
@@ -310,6 +318,10 @@ class SolveReport:
     wall_seconds: float
     heuristic_seconds: float = 0.0
     root_cut_seconds: float = 0.0
+    # the fixed-q LPs the nodes solved for incumbents
+    fixed_q_lps: int = 0
+    # where the incumbent came from: "restriction", "fixed_q" or None
+    incumbent_source: str | None = None
 
     def to_json(self) -> str:
         def clean(x):
@@ -326,14 +338,113 @@ class SolveReport:
                 "wall_seconds": round(self.wall_seconds, 6),
                 "heuristic_seconds": round(self.heuristic_seconds, 6),
                 "root_cut_seconds": round(self.root_cut_seconds, 6),
+                "fixed_q_lps": self.fixed_q_lps,
+                "incumbent_source": self.incumbent_source,
             }
         )
 
 
-def _try_incumbent(pq: PQModel, point, upper: float) -> tuple[dict[int, float], float] | None:
-    candidate = fractional_flow_values(pq, point)
-    report = pq.model.is_feasible(candidate, _MC_FEAS_TOL)
-    if not report:
+class _FixedQ:
+    """The pooling model with every pool fraction q fixed, as one LP in the
+    flows whose template is built once per search.
+
+    With q fixed at ``qbar`` each path flow is ``v = qbar*y``, so the LP's
+    optimum is the best flow for those fractions.  The template ``base``
+    holds ``pq.model``'s rows without the path and ``pq_cut`` rows, which
+    follow from that substitution and the ``simplex`` rows once q is fixed;
+    ``arrays(qbar)`` substitutes into it.  A model with other bilinear rows
+    or a bilinear objective gets no template, and no fixed-q LP.
+    """
+
+    def __init__(self, pq: PQModel, deadline: float):
+        self.pq = pq
+        self.deadline = deadline  # on the time.monotonic() clock
+        self.q_ids = list(pq.q.values())
+        self.solved: set[bytes] = set()  # the qbar already solved, as bytes
+        self.last: LPResult | None = None  # the last optimal LP, to start from
+        self.lps = 0
+        self.base: LPArrays | None = None
+        model = pq.model.clone()
+        for group in ("path_definition", "pq_cut"):
+            for name in pq.groups.get(group, []):
+                model.deactivate(name)
+        if model.objective_bilinear or any(
+            con.active and con.bilinear for con in model.constraints.values()
+        ):
+            return
+        self.base = LPArrays.from_model(model)
+        paths = list(pq.v)
+        self.v = np.array([pq.v[p] for p in paths], dtype=np.intp)
+        self.y = np.array([pq.y_pool[(l, j)] for _, l, j in paths], dtype=np.intp)
+        position = {qid: k for k, qid in enumerate(self.q_ids)}
+        self.q_of_v = np.array([position[pq.q[(i, l)]] for i, l, _ in paths], dtype=np.intp)
+        # per nonzero of the template: the path of its column if that is a
+        # v, the position of its column if that is a q, else -1
+        n = self.base.c.size
+        path_of, q_of = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+        path_of[self.v] = np.arange(len(paths))
+        q_of[self.q_ids] = np.arange(len(self.q_ids))
+        self.path_at, self.q_at = path_of[self.base.cols], q_of[self.base.cols]
+
+    def arrays(self, qbar: np.ndarray) -> LPArrays:
+        """The template with each q fixed at qbar and each v replaced by
+        qbar*y: v's entries move to y, scaled, and q's move to the right-hand
+        side.  v's upper bound becomes one on y, and v and q are fixed."""
+        base, v, y = self.base, self.v, self.y
+        n = base.c.size
+        qv = qbar[self.q_of_v]
+        on_v, on_q = self.path_at >= 0, self.q_at >= 0
+        cols, vals = base.cols.copy(), base.vals.copy()
+        cols[on_v] = y[self.path_at[on_v]]
+        vals[on_v] *= qv[self.path_at[on_v]]
+        b = base.b.copy()
+        np.subtract.at(b, base.rows[on_q], vals[on_q] * qbar[self.q_at[on_q]])
+        # merge the entries that land on one (row, y).  A sum that cancels,
+        # as reduction_1's (sum of qbar - 1) * y does, is dropped: kept, its
+        # rounding residue would fold the row into the bound y = 0
+        keys, merged = np.unique(base.rows[~on_q] * n + cols[~on_q], return_inverse=True)
+        total = np.bincount(merged, vals[~on_q])
+        kept = np.abs(total) > 1e-9 * np.bincount(merged, np.abs(vals[~on_q]))
+        c = base.c.copy()
+        np.add.at(c, y, c[v] * qv)
+        c[v] = 0.0
+        lo, up = base.lo.copy(), base.up.copy()
+        lo[v] = up[v] = 0.0
+        lo[self.q_ids] = up[self.q_ids] = qbar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.minimum.at(up, y, np.where(qv > 0.0, base.up[v] / qv, math.inf))
+        rows, cols = np.divmod(keys[kept], n)
+        return replace(base, c=c, rows=rows, cols=cols, vals=total[kept], b=b, lo=lo, up=up)
+
+
+def _try_incumbent(fixed_q: _FixedQ, point, upper: float) -> tuple[dict[int, float], float] | None:
+    """Fix q at the point's flow ratios (``fractional_flow_values``), solve
+    the fixed-q LP and return its point and value when it is feasible on
+    ``pq.model`` within ``_MC_FEAS_TOL`` and below ``upper``.
+
+    The LP starts from the last optimal fixed-q result, whose coefficients
+    may differ.  A qbar already solved in this search, or a call past the
+    deadline, solves nothing.
+    """
+    if fixed_q.base is None or time.monotonic() > fixed_q.deadline:
+        return None
+    pq = fixed_q.pq
+    values = fractional_flow_values(pq, point)
+    # rounded, so that a qbar solved before is found again
+    qbar = np.round(np.maximum([values[qid] for qid in fixed_q.q_ids], 0.0), 12)
+    key = qbar.tobytes()
+    if key in fixed_q.solved:
+        return None
+    fixed_q.solved.add(key)
+    res = solve_arrays(fixed_q.arrays(qbar), start=fixed_q.last)
+    fixed_q.lps += 1
+    if res.status is not LPStatus.OPTIMAL:
+        return None
+    fixed_q.last = res
+    x = res.x.copy()
+    x[fixed_q.v] = qbar[fixed_q.q_of_v] * x[fixed_q.y]
+    candidate = dict(enumerate(x.tolist()))
+    if not pq.model.is_feasible(candidate, _MC_FEAS_TOL):
         return None
     value = pq.model.objective_value(candidate)
     if value < upper - 1e-12:
@@ -411,22 +522,26 @@ def branch_and_cut(
     """Spatial branch & cut to global optimality of the pooling model.
 
     The root is the first node of the ``_Search``, and every node goes
-    through one evaluation: the root on the root relaxation itself, each
-    later node on a clone of it (its cuts included) tightened to the node
-    box, re-optimized from its parent's last LP result.  Nodes down to depth
-    ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut block also
-    installs into the root relaxation.  Every node that its bound does not
-    fathom projects its LP point onto the pooling model (``_try_incumbent``)
-    for an incumbent.  A node is dropped without a proof when its point is
-    envelope-tight, it has nothing left to split, its LP is unbounded or
-    raises ``NumericalFailure``, or its LP is infeasible while its box holds
-    the incumbent, which the root's box always does.  Its bound then stays in
-    ``lower``, and the status is ``feasible`` (``unknown`` without an
-    incumbent) unless that bound meets the incumbent within the gap.
-    ``nodes`` and ``gap.node_limit`` do not count the root, so
-    ``node_limit=0`` still evaluates it.  ``gap.time_limit`` caps the
-    heuristic's own limit and stops the search, the root included, and the
-    cut rounds; a limit spent before the root reports lower ``-inf``.
+    through one evaluation, on a clone of the root relaxation (its cuts
+    included) tightened to the node box; the root's LP is cold, and each
+    later node re-optimizes from its parent's last LP result.  Nodes down
+    to depth ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut
+    block also installs into the root relaxation.  Every node that its
+    bound does not fathom fixes q at its LP point's flow ratios and solves
+    the fixed-q LP (``_try_incumbent``) for an incumbent; a q solved before
+    in the search is not solved again.  A node is dropped without a proof
+    when its point is envelope-tight, it has nothing left to split, its LP
+    is unbounded or raises ``NumericalFailure``, or its LP is infeasible
+    while its box holds the incumbent, which the root's box always does.
+    Its bound then stays in ``lower``, and the status is ``feasible``
+    (``unknown`` without an incumbent) unless that bound meets the
+    incumbent within the gap.  ``nodes`` and ``gap.node_limit`` do not
+    count the root, so ``node_limit=0`` still evaluates it.
+    ``gap.time_limit`` caps the heuristic's own limit and stops the search,
+    the root included, the cut rounds and the fixed-q LPs; a limit spent
+    before the root reports lower ``-inf``.  ``fixed_q_lps`` counts the
+    fixed-q LPs solved, and ``incumbent_source`` names where the final
+    incumbent came from.
     """
     gap = gap or GapSpec()
     options = options or SolveOptions()
@@ -437,6 +552,7 @@ def branch_and_cut(
     search = _Search(search_gap, deadline)
 
     heuristic_seconds = 0.0
+    source = None
     if options.use_primal_heuristic:
         t0 = time.monotonic()
         left = max(0.0, deadline - t0)
@@ -445,17 +561,19 @@ def branch_and_cut(
         heuristic_seconds = time.monotonic() - t0
         if solution is not None:
             search.offer(solution.values, solution.objective)
+            source = "restriction"
 
     rm = relax(pq.model)
+    fixed_q = _FixedQ(pq, deadline)
     cb = add_all_pooling_inequalities(rm, pq) if options.use_pooling_cuts else None
     ids = itertools.count(1)
     root_cut_seconds = 0.0
 
     def evaluate(node: BnBNode, bound: float):
-        nonlocal root_cut_seconds
-        # the root is evaluated on the root relaxation itself, every other
-        # node on a clone tightened to its box
-        rm_node = rm.clone() if node.depth else rm
+        nonlocal root_cut_seconds, source
+        # every node, the root included, is evaluated on a clone of the root
+        # relaxation tightened to its box
+        rm_node = rm.clone()
         refresh_bounds(rm_node, node.overrides)
         t0 = time.monotonic()
         try:
@@ -484,9 +602,10 @@ def branch_and_cut(
         bound = max(bound, res.objective)
         if search.fathomed(bound):
             return bound, []
-        found = _try_incumbent(pq, res.x, search.upper)
+        found = _try_incumbent(fixed_q, res.x, search.upper)
         if found is not None:
             search.offer(*found)
+            source = "fixed_q"
         if rm_node.mccormick_residual(res.x) <= _MC_FEAS_TOL:
             # the relaxation is exact here, but the node is a proof only if
             # the incumbent meets its bound
@@ -523,4 +642,6 @@ def branch_and_cut(
         wall_seconds=time.monotonic() - start,
         heuristic_seconds=heuristic_seconds,
         root_cut_seconds=root_cut_seconds,
+        fixed_q_lps=fixed_q.lps,
+        incumbent_source=source,
     )

@@ -37,7 +37,7 @@ def test_solve_with_json_report(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert set(doc) == {
         "status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds",
-        "heuristic_seconds", "root_cut_seconds",
+        "heuristic_seconds", "root_cut_seconds", "fixed_q_lps", "incumbent_source",
     }
 
 

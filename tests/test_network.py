@@ -202,6 +202,22 @@ def test_nan_capacity_rejected(h1):
         Network.from_json(json.dumps(doc))
 
 
+def test_infinite_lower_capacity_rejected(h1):
+    net = Network("n")
+    with pytest.raises(InvalidBounds, match="capacity_lower is infinite"):
+        net.add_node(0, "i1", capacity_lower=math.inf)
+    net.add_node(0, "i1")
+    net.add_node(2, "j1")
+    with pytest.raises(InvalidBounds, match="capacity_lower is infinite"):
+        net.add_edge("i1", "j1", capacity_lower=math.inf)
+    assert not net.edges
+    # json.dumps writes Infinity, and json.loads reads it back as a float
+    doc = json.loads(h1.to_json())
+    doc["nodes"][0]["capacity"] = [math.inf, None]
+    with pytest.raises(InvalidBounds, match="i1"):
+        Network.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "path, value, match",
     [

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,8 +34,12 @@ import poolblend.simplex as simplex
 import poolblend.solve as solve_module
 from poolblend.cuts import add_all_pooling_inequalities, add_valid_cuts
 from poolblend.errors import NonLinearSideConstraints, NumericalFailure
-from poolblend.restriction import RestoredSolution
+from poolblend.instances import haverly
+from poolblend.restriction import RestoredSolution, fractional_flow_values
 from poolblend.simplex import LPStatus
+
+from oracle import grid_oracle
+from test_acceptance import ORACLE_TINY_SPECS
 
 DESK_SPARSE_S1 = GenSpec("sparse_haverly", 8, 3, 5, 2, 22, 1)
 # the optimum of the tau=2 restriction of DESK_SPARSE_S1
@@ -388,7 +393,7 @@ def test_report_json_shape(h1_pq):
     doc = json.loads(report.to_json())
     assert set(doc) == {
         "status", "lower", "upper", "rel_gap", "nodes", "cuts", "wall_seconds",
-        "heuristic_seconds", "root_cut_seconds",
+        "heuristic_seconds", "root_cut_seconds", "fixed_q_lps", "incumbent_source",
     }
     assert doc["status"] == "optimal"
 
@@ -560,3 +565,145 @@ def test_failed_mip_child_keeps_the_incumbent(monkeypatch):
     assert (result.status, result.objective, result.nodes) == ("feasible", -17.0, 3)
     assert result.incumbent is not None
     assert result.lower_bound == pytest.approx(-24.2)
+
+
+def test_fixed_q_incumbents_are_feasible_and_never_beat_the_oracle(monkeypatch):
+    # without the heuristic every incumbent comes from a fixed-q LP
+    found = []
+    try_incumbent = solve_module._try_incumbent
+
+    def recording(fixed_q, point, upper):
+        result = try_incumbent(fixed_q, point, upper)
+        if result is not None:
+            found.append(result)
+        return result
+
+    monkeypatch.setattr(solve_module, "_try_incumbent", recording)
+    nets = [haverly()] + [generate_instance(spec) for spec in ORACLE_TINY_SPECS]
+    for net in nets:
+        found.clear()
+        report = branch_and_cut(
+            build_pq(net), GapSpec(rel_tol=1e-6), SolveOptions(use_primal_heuristic=False)
+        )
+        assert report.incumbent_source == "fixed_q" and found, net.name
+        # the 0.02-lattice holds an optimal q to criterion 1's relative 1e-4
+        # (tiny s6 reads -763.0582 on it, against the optimum -763.1239)
+        optimum = grid_oracle(net, step=0.02).objective
+        model = build_pq(net).model
+        for values, value in found:
+            assert model.is_feasible(values, 1e-6), net.name
+            assert model.objective_value(values) == pytest.approx(value, abs=1e-9)
+            assert value >= optimum - 1e-4 * max(1.0, abs(optimum)), net.name
+            assert value >= report.lower - 1e-9 * max(1.0, abs(report.lower)), net.name
+
+
+def test_fixed_q_never_does_worse_than_the_projection():
+    # the projection keeps the point's flows and sets v = q*y, so wherever it
+    # is feasible it is a point of the fixed-q LP at the same q
+    compared = 0
+    for seed in (1, 2, 3):
+        pq = build_pq(generate_instance(GenSpec("sparse_haverly", 8, 3, 5, 2, 22, seed)))
+        rm = relax(pq.model)
+        cb = add_all_pooling_inequalities(rm, pq)
+        points = [solve_lp(rm.lp)]
+        while points[-1].status is LPStatus.OPTIMAL and add_valid_cuts(cb, rm, points[-1].x):
+            points.append(solve_lp(rm.lp, start=points[-1]))
+        for res in points:
+            found = solve_module._try_incumbent(solve_module._FixedQ(pq, math.inf), res.x, math.inf)
+            assert found is not None
+            projection = fractional_flow_values(pq, res.x)
+            if pq.model.is_feasible(projection, 1e-6):
+                assert found[1] <= pq.model.objective_value(projection) + 1e-7
+                compared += 1
+    assert compared >= 1
+
+
+def test_fixed_q_lp_matches_the_relaxation_with_q_fixed(h1_pq, tiny_nets):
+    # with every q box a point, relax linearizes v = q*y exactly, so its LP
+    # is the fixed-q LP in its own columns and rows
+    desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
+    pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
+        build_pq(generate_instance(spec)) for spec in desk
+    ]
+    for pq in pqs:
+        point = solve_lp(relax(pq.model).lp).x
+        found = solve_module._try_incumbent(solve_module._FixedQ(pq, math.inf), point, math.inf)
+        assert found is not None
+        fixed = pq.model.clone()
+        for qid in pq.q.values():
+            fixed.set_bounds(qid, found[0][qid], found[0][qid])
+        reference = solve_lp(relax(fixed).lp)
+        assert reference.status is LPStatus.OPTIMAL
+        assert found[1] == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
+
+
+def test_warm_fixed_q_lps_match_cold_solves(warm_outcomes, monkeypatch, h1_pq, tiny_nets):
+    # without the heuristic, every solve_arrays call of branch & cut is a
+    # fixed-q LP; a start comes from the LP at another q, with other
+    # coefficients and boxes
+    checked = {"warm": 0, "taken": 0}
+
+    def solve_warm_and_cold(arrays, overrides=None, start=None):
+        attempts = len(warm_outcomes)
+        res = simplex.solve_arrays(arrays, overrides, start=start)
+        if start is not None:
+            cold = simplex.solve_arrays(arrays, overrides)
+            assert res.status is cold.status
+            if cold.status is LPStatus.OPTIMAL:
+                assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            checked["warm"] += 1
+            checked["taken"] += len(warm_outcomes) > attempts and warm_outcomes[attempts] is not None
+        return res
+
+    monkeypatch.setattr(solve_module, "solve_arrays", solve_warm_and_cold)
+    desk = [GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s) for s in (1, 2, 3)]
+    pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
+        build_pq(generate_instance(spec)) for spec in desk
+    ]
+    for pq in pqs:
+        branch_and_cut(pq, GapSpec(rel_tol=1e-4, node_limit=10), SolveOptions(use_primal_heuristic=False))
+    assert checked["warm"] >= 10 and checked["taken"] >= 1
+
+
+def test_desk_s1_closes_at_the_root():
+    pq = build_pq(generate_instance(DESK_SPARSE_S1))
+    report = branch_and_cut(pq, GapSpec(rel_tol=1e-4, node_limit=5))
+    assert (report.status, report.nodes, report.incumbent_source) == ("optimal", 0, "fixed_q")
+    assert report.fixed_q_lps >= 1
+    assert pq.model.is_feasible(report.incumbent.values, 1e-6)
+
+
+def test_passed_deadline_starts_no_fixed_q_lp(monkeypatch, h1_pq):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simplex.solve_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "solve_arrays", counting)
+    point = solve_lp(relax(h1_pq.model).lp).x
+    fixed_q = solve_module._FixedQ(h1_pq, time.monotonic() - 1.0)
+    assert solve_module._try_incumbent(fixed_q, point, math.inf) is None
+    assert (calls, fixed_q.lps) == ([], 0)
+    # with the deadline open the same call solves one LP, and a repeat none
+    fixed_q.deadline = math.inf
+    assert solve_module._try_incumbent(fixed_q, point, math.inf) is not None
+    assert solve_module._try_incumbent(fixed_q, point, math.inf) is None
+    assert (len(calls), fixed_q.lps) == (1, 1)
+    report = branch_and_cut(h1_pq, GapSpec(time_limit=0.0), SolveOptions(use_primal_heuristic=False))
+    assert (report.fixed_q_lps, report.incumbent_source) == (0, None)
+
+
+def test_side_bilinear_rows_get_no_fixed_q_lp(h1_pq):
+    # fixing q linearizes only the path rows, so a model with another
+    # bilinear row gets no fixed-q LP rather than a wrong one
+    point = solve_lp(relax(h1_pq.model).lp).x
+    assert solve_module._try_incumbent(solve_module._FixedQ(h1_pq, math.inf), point, math.inf)
+    q0, y0 = h1_pq.q[("i1", "l1")], h1_pq.y_pool[("l1", "j1")]
+    h1_pq.model.add_constraint(
+        "user_row", LinearExpr(), Sense.LE, 5.0, bilinear=[BilinearTerm.of(1.0, q0, y0)]
+    )
+    fixed_q = solve_module._FixedQ(h1_pq, math.inf)
+    assert fixed_q.base is None
+    assert solve_module._try_incumbent(fixed_q, point, math.inf) is None
+    assert fixed_q.lps == 0

@@ -20,25 +20,32 @@ row): pricing and a pivot row are one weighted ``np.bincount`` over the
 nonzeros, and so is a row activity, and B_inv times structural column j
 reads only the columns of B_inv on j's rows.  Slack i is the implicit unit
 column e_i and artificial i is sigma_i * e_i, so B_inv times either is one
-column of B_inv.  A refactor inverts only the structural kernel, the basic
-structural columns on the rows that no basic unit column covers, and
+column of B_inv.  Pricing's y = c_B B_inv reads only the rows of B_inv
+whose basic cost is nonzero (Bixby 2002): in phase 1 the artificials, in
+phase 2 the basic structurals with a cost, a few percent of the basis on
+the large root LPs.  A refactor inverts only the structural kernel, the
+basic structural columns on the rows that no basic unit column covers, and
 assembles the explicit basis inverse blockwise from it (Suhl & Suhl's
 triangular pre-pass over the unit columns): O(k^3 + (m-k) k^2) for k basic
-structurals, against O(m^3) for the whole basis; it and the basis repair
-read a dense m x k block of the basic structural columns.  Between refactors
-the inverse gets a rank-1 update: the whole outer product, in slabs of rows,
-when the nonzero supports of the pivot column and pivot row span more than
-1/4 of B_inv, else only the entries on that support.  The skipped entries
-would subtract exact zeros, so both kernels give the same inverse up to the
-sign of a zero, and the same pivots.  Entering variable: most negative
-reduced-cost direction (Dantzig) over the columns that can move, so fixed
-structurals, equality-row slacks and phase-2 artificials are never priced,
-with a permanent switch to Bland's rule after 5*(m+n) degenerate pivots so
-cycling cannot occur.  Leaving variable: Harris's two-pass ratio test with
-an absolute tolerance, so no basic variable passes a bound by more than
-1e-9; among the rows that block within that step the largest pivot wins.
-Deterministic for a fixed input: all ties break on the lowest variable
-index.
+structurals, against O(m^3) for the whole basis.  It keeps the basic
+structural columns by their nonzeros, scatters only the kernel (and, for
+the basis repair, the kernel rows) into a dense block, and writes the unit
+rows' block of the inverse a slab of rows at a time, so no dense m x k block
+of the basis forms.  Between refactors the inverse gets a rank-1 update:
+the whole outer product when the nonzero supports of the pivot column and
+pivot row span more than 1/4 of B_inv, else only the entries on that
+support, both in slabs of rows.  The skipped entries would subtract exact
+zeros, so both kernels give the same inverse up to the sign of a zero, and
+the same pivots.  Besides B_inv, a solve's largest temporaries are then the
+kernel and its inverse, and one slab of rows.  Entering variable: most
+negative reduced-cost direction (Dantzig) over the columns that can move, so
+fixed structurals, equality-row slacks and phase-2 artificials are never
+priced, with a permanent switch to Bland's rule after 5*(m+n) degenerate
+pivots so cycling cannot occur.  Leaving variable: Harris's two-pass ratio
+test with an absolute tolerance, so no basic variable passes a bound by more
+than 1e-9; among the rows that block within that step the largest pivot
+wins.  Deterministic for a fixed input: all ties break on the lowest
+variable index.
 
 An optimal result carries its basis (``LPResult.basis``): one int8 status
 per structural column and one per ``LPArrays`` row for its slack, with a
@@ -84,8 +91,9 @@ _RATIO_TIE = 1e-10
 _REFACTOR_EVERY = 100
 # the rank-1 update subtracts the whole outer product once its support covers
 # more than 1/_DENSE_UPDATE of B_inv: contiguous passes beat the gather and
-# scatter of np.ix_ there.  It goes _SLAB rows at a time, so the temporary
-# stays in cache when B_inv does not (m in the hundreds)
+# scatter of np.ix_ there.  Both updates, pricing and the refactor's unit
+# block go _SLAB rows at a time, so a temporary stays in cache when B_inv
+# does not (m in the hundreds) and small beside it
 _DENSE_UPDATE = 4
 _SLAB = 128
 
@@ -284,7 +292,11 @@ class _Split(NamedTuple):
     signs: np.ndarray  # its entry there: +1, or sigma for an artificial
     covered: np.ndarray  # mask of the rows some unit column covers
     kernel: np.ndarray  # the other rows
-    columns: np.ndarray  # the basic structural columns, dense (m x len(struct))
+    # the basic structural columns by their nonzeros: nz_vals[k] sits on row
+    # nz_rows[k] of the column at struct[nz_pos[k]]
+    nz_rows: np.ndarray
+    nz_pos: np.ndarray
+    nz_vals: np.ndarray
 
 
 def _start_codes(start: LPResult | None, n: int, keep: np.ndarray) -> np.ndarray | None:
@@ -469,19 +481,26 @@ class _Simplex:
         signs = np.where(basis[unit] < self.art_start, 1.0, self.sigma[rows])
         covered = np.zeros(self.m, dtype=bool)
         covered[rows] = True
-        columns = self._dense_columns(basis[struct])
-        return _Split(struct, unit, rows, signs, covered, np.flatnonzero(~covered), columns)
-
-    def _dense_columns(self, cols: np.ndarray) -> np.ndarray:
-        """The structural columns cols of A as a dense m x len(cols) block,
-        scattered from their nonzeros."""
+        cols = basis[struct]
         starts = self.col_ptr[cols]
         lengths = self.col_ptr[cols + 1] - starts
         # entry k of column t is nonzero starts[t] + k
         offsets = np.cumsum(lengths) - lengths
         at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-        block = np.zeros((self.m, cols.size))
-        block[self.row_idx[at], np.repeat(np.arange(cols.size), lengths)] = self.vals[at]
+        return _Split(
+            struct, unit, rows, signs, covered, np.flatnonzero(~covered),
+            self.row_idx[at], np.repeat(np.arange(cols.size), lengths), self.vals[at],
+        )
+
+    def _basic_rows(self, split: _Split, rows: np.ndarray) -> np.ndarray:
+        """S[rows] for the basic structural columns S, dense (len(rows) x
+        len(struct)), scattered from their nonzeros; rows are distinct."""
+        where = np.full(self.m, -1)
+        where[rows] = np.arange(rows.size)
+        at = where[split.nz_rows]
+        hit = at >= 0
+        block = np.zeros((rows.size, split.struct.size))
+        block[at[hit], split.nz_pos[hit]] = split.nz_vals[hit]
         return block
 
     def _row_activity(self, x: np.ndarray) -> np.ndarray:
@@ -515,30 +534,39 @@ class _Simplex:
         With S the basic structural columns, U the rows the basic unit columns
         cover, D their signs and R the other rows, the kernel is K = S[R] and
         B_inv[struct, R] = K^-1, B_inv[struct, U] = 0, B_inv[unit, U] = D,
-        B_inv[unit, R] = -D S[U] K^-1.  Returns False, leaving B_inv as it
-        was, when two unit columns cover one row or K is singular.
+        B_inv[unit, R] = -D S[U] K^-1.  The last block is zero on the unit
+        rows where S has no nonzero; on the others it is formed and written
+        _SLAB rows at a time.  Returns False, leaving B_inv as it was, when
+        two unit columns cover one row or K is singular.
         """
-        struct, unit, rows, signs, _, kernel, S = split
+        struct, unit, rows, signs, _, kernel = split[:6]
         if kernel.size != struct.size:
             return False  # a row covered twice
         try:
-            K_inv = np.linalg.inv(S[kernel])
+            K_inv = np.linalg.inv(self._basic_rows(split, kernel))
         except np.linalg.LinAlgError:
             return False
-        unit_block = (S[rows] @ K_inv) * -signs[:, None]
         B_inv = self.B_inv
         B_inv.fill(0.0)
         B_inv[np.ix_(struct, kernel)] = K_inv
         B_inv[unit, rows] = signs
-        B_inv[np.ix_(unit, kernel)] = unit_block
+        meets = np.zeros(self.m, dtype=bool)
+        meets[split.nz_rows] = True
+        touched = np.flatnonzero(meets[rows])  # the unit columns on a row of S
+        for i in range(0, touched.size, _SLAB):
+            t = touched[i : i + _SLAB]
+            block = self._basic_rows(split, rows[t]) @ K_inv
+            block *= -signs[t, None]
+            B_inv[np.ix_(unit[t], kernel)] = block
         return True
 
     def _probe_error(self, split: _Split, p: int) -> float:
-        """max |B B_inv[:, p] - e_p|, with B applied column by column."""
-        struct, unit, rows, signs, _, _, S = split
+        """max |B B_inv[:, p] - e_p|, with B applied over its nonzeros."""
         col = self.B_inv[:, p]
-        image = S @ col[struct]
-        image[rows] += signs * col[unit]
+        weights = split.nz_vals * col[split.struct][split.nz_pos]
+        # float even when no structural is basic: bincount of nothing is int
+        image = np.bincount(split.nz_rows, weights=weights, minlength=self.m).astype(float)
+        image[split.rows] += split.signs * col[split.unit]
         image[p] -= 1.0
         return float(np.max(np.abs(image)))
 
@@ -552,11 +580,12 @@ class _Simplex:
         basis may leave an artificial at a nonzero value, i.e. primal
         infeasible; the caller restarts from phase 1 in that case.
         """
-        struct, unit, rows, _, covered, kernel, S = self._split()
+        split = self._split()
+        struct, unit, rows, _, covered, kernel = split[:6]
         first = np.unique(rows, return_index=True)[1]
         dropped = np.delete(unit, first).tolist()
         Q = np.zeros((kernel.size, 0))
-        for k, col in zip(struct, S[kernel].T):
+        for k, col in zip(struct, self._basic_rows(split, kernel).T):
             r = col - Q @ (Q.T @ col)
             nrm = float(np.linalg.norm(r))
             if nrm > 1e-8 * max(1.0, float(np.linalg.norm(col))):
@@ -624,8 +653,7 @@ class _Simplex:
                 raise NumericalFailure(f"simplex exceeded {self.max_iterations} iterations")
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactor()
-            y = c[self.basis] @ self.B_inv
-            d = self._reduced_costs(c, y)
+            d = self._reduced_costs(c, self._btran(c))
             enter, direction = self._choose_entering(d)
             if enter < 0:
                 return None  # phase optimal
@@ -728,7 +756,7 @@ class _Simplex:
                 proof = self._proves_infeasible(leave, alpha_r, rising)
                 return LPStatus.INFEASIBLE if proof else None
             if d is None:
-                d = self._reduced_costs(c, c[self.basis] @ self.B_inv)
+                d = self._reduced_costs(c, self._btran(c))
             cols = np.flatnonzero(cand)
             # |d_j| on the dual feasible side: how far d_j may travel to zero
             room = np.where(at_up[cols], -d[cols], d[cols])
@@ -805,10 +833,24 @@ class _Simplex:
             for i in range(0, self.m, _SLAB):
                 self.B_inv[i : i + _SLAB] -= np.outer(alpha[i : i + _SLAB], row)
         else:
-            self.B_inv[np.ix_(rows, cols)] -= np.outer(alpha[rows], row[cols])
+            on_cols = row[cols]
+            for i in range(0, rows.size, _SLAB):
+                at = rows[i : i + _SLAB]
+                self.B_inv[np.ix_(at, cols)] -= np.outer(alpha[at], on_cols)
         self.B_inv[leave, :] = row
         self._since_refactor += 1
         return True
+
+    def _btran(self, c: np.ndarray) -> np.ndarray:
+        """y = c_B B_inv, from only the rows of B_inv whose basic cost is
+        nonzero, _SLAB of them at a time."""
+        costs = c[self.basis]
+        on = np.flatnonzero(costs)
+        y = np.zeros(self.m)
+        for i in range(0, on.size, _SLAB):
+            at = on[i : i + _SLAB]
+            y += costs[at] @ self.B_inv[at]
+        return y
 
     def _reduced_costs(self, c: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d = c - y [A | I | diag(sigma)], without forming the m x N matrix."""

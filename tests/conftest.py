@@ -40,6 +40,15 @@ def tiny_nets():
     return [(spec, generate_instance(spec)) for spec in TINY_SPECS]
 
 
+@pytest.fixture(scope="session")
+def grid_oracles():
+    """grid_oracle results shared by the session, keyed by (network name,
+    step): a test that computes one stores it, and a later test reads it
+    instead of solving the grid again.  Only for calls without
+    collect_points or rng, whose result depends on nothing else."""
+    return {}
+
+
 @pytest.fixture
 def warm_outcomes(monkeypatch):
     """What each warm-start attempt returned, in order (None: fell back to cold)."""

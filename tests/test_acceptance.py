@@ -42,8 +42,9 @@ from poolblend.simplex import LPStatus
 from oracle import grid_oracle, point_to_model_values
 from test_cuts import extend_with_cut_values
 
-# tiny instances whose 0.02-lattice contains an optimal q (verified against
-# finer grids during development), so the oracle is exact on them
+# tiny instances whose 0.02-lattice holds an optimal q to criterion 1's
+# relative 1e-4, not exactly: on 3x1x2 s6 the grid reads -763.0582 against
+# the optimum -763.1239
 ORACLE_TINY_SPECS = [
     GenSpec("sparse_haverly", 3, 1, 2, 1, 8, 1),
     GenSpec("sparse_haverly", 3, 1, 2, 1, 8, 2),
@@ -105,13 +106,16 @@ def desk_batch():
     return out
 
 
-def test_criterion_1_global_optimality_vs_oracle():
+def test_criterion_1_global_optimality_vs_oracle(grid_oracles):
+    # the oracles are computed here, inside the timed region, and only stored
+    # for later tests
     t0 = time.monotonic()
     failures = []
 
     h1 = haverly()
     rep = branch_and_cut(build_pq(h1), GapSpec(rel_tol=1e-6), SolveOptions())
     oracle = grid_oracle(h1, step=0.02)
+    grid_oracles[h1.name, 0.02] = oracle
     assert oracle.objective == pytest.approx(-400.0, abs=1e-9)
     if rep.status != "optimal" or relative_gap(rep.upper, oracle.objective) > 1e-4:
         failures.append(("h1", rep.upper, oracle.objective))
@@ -120,6 +124,7 @@ def test_criterion_1_global_optimality_vs_oracle():
         net = generate_instance(spec)
         rep = branch_and_cut(build_pq(net), GapSpec(rel_tol=1e-6), SolveOptions())
         oracle = grid_oracle(net, step=0.02)
+        grid_oracles[net.name, 0.02] = oracle
         gap = relative_gap(rep.upper, oracle.objective)
         if rep.status != "optimal" or (gap > 1e-4 and abs(rep.upper - oracle.objective) > 1e-7):
             failures.append((spec.instance_name(), rep.upper, oracle.objective))

@@ -9,13 +9,16 @@ from scipy.optimize import linprog
 
 from poolblend import (
     GapSpec,
+    GenSpec,
     LinearExpr,
     Model,
     RestrictionSpec,
     Sense,
     SolveOptions,
+    add_all_pooling_inequalities,
     branch_and_cut,
     build_pq,
+    generate_instance,
     install_restriction,
     relax,
     solve_lp,
@@ -416,7 +419,9 @@ def test_column_storage_matches_the_dense_products(monkeypatch):
         for j in range(s.n):
             close(s._ftran(j), s.B_inv @ A[:, j])
         split = s._split()
-        close(split.columns, A[:, s.basis[split.struct]])
+        columns = np.zeros((s.m, split.struct.size))
+        columns[split.nz_rows, split.nz_pos] = split.nz_vals
+        close(columns, A[:, s.basis[split.struct]])
 
     # every row folds: rows 0-2 into bounds on x0 and x1, row 3 is empty
     arrays = _arrays(
@@ -761,6 +766,29 @@ def test_wide_sparse_lp_forms_no_m_by_n_array():
         tracemalloc.stop()
     assert res.status is LPStatus.OPTIMAL
     assert peak < m * n * 8
+
+
+def test_root_lp_solve_peaks_below_1_4_inverses():
+    """On the 858-row root LP of a 20x6x12 instance (pooling rows and the
+    pq_cut rows on), a solve's memory stays below 1.4 times its m x m
+    inverse: a refactor forms no dense m x k block of the basic columns,
+    and pricing and both rank-1 updates read a slab of rows at a time."""
+    pq = build_pq(generate_instance(GenSpec("sparse_haverly", 20, 6, 12, 2, 70, 1)))
+    for row in pq.groups["pq_cut"]:
+        pq.model.activate(row)
+    rm = relax(pq.model)
+    add_all_pooling_inequalities(rm, pq)
+    arrays = LPArrays.from_model(rm.lp)
+    m = int(np.count_nonzero(np.bincount(arrays.rows, minlength=arrays.b.size) > 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = solve_arrays(arrays)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.status is LPStatus.OPTIMAL and m == 858
+    assert peak < 1.4 * m * m * 8
 
 
 def _cold_start_by_loop(s):

@@ -567,7 +567,7 @@ def test_failed_mip_child_keeps_the_incumbent(monkeypatch):
     assert result.lower_bound == pytest.approx(-24.2)
 
 
-def test_fixed_q_incumbents_are_feasible_and_never_beat_the_oracle(monkeypatch):
+def test_fixed_q_incumbents_are_feasible_and_never_beat_the_oracle(monkeypatch, grid_oracles):
     # without the heuristic every incumbent comes from a fixed-q LP
     found = []
     try_incumbent = solve_module._try_incumbent
@@ -588,7 +588,9 @@ def test_fixed_q_incumbents_are_feasible_and_never_beat_the_oracle(monkeypatch):
         assert report.incumbent_source == "fixed_q" and found, net.name
         # the 0.02-lattice holds an optimal q to criterion 1's relative 1e-4
         # (tiny s6 reads -763.0582 on it, against the optimum -763.1239)
-        optimum = grid_oracle(net, step=0.02).objective
+        if (net.name, 0.02) not in grid_oracles:
+            grid_oracles[net.name, 0.02] = grid_oracle(net, step=0.02)
+        optimum = grid_oracles[net.name, 0.02].objective
         model = build_pq(net).model
         for values, value in found:
             assert model.is_feasible(values, 1e-6), net.name

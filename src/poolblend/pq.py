@@ -23,7 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import EmptyLayer, InfeasiblePool, MissingQuality, NotFrozen, UnmodelledCost
+from .errors import (
+    EmptyLayer,
+    InfeasiblePool,
+    MissingQuality,
+    NonLinearSideConstraints,
+    NotFrozen,
+    UnmodelledCost,
+)
 from .model import BilinearTerm, LinearExpr, Model, Sense
 from .network import Network
 
@@ -66,6 +73,26 @@ class PQModel:
     def activate_group(self, group: str) -> None:
         for name in self.groups.get(group, []):
             self.model.activate(name)
+
+    def linear_core(self) -> Model:
+        """A clone of ``model`` with its ``path_definition`` and ``pq_cut``
+        rows deactivated: the linear model both primal heuristics start from.
+
+        Raises ``NonLinearSideConstraints`` when an active row or the
+        objective still carries a bilinear term, which no LP could represent.
+        """
+        core = self.model.clone()
+        for group in ("path_definition", "pq_cut"):
+            for name in self.groups.get(group, []):
+                core.deactivate(name)
+        if core.objective_bilinear:
+            raise NonLinearSideConstraints("objective carries bilinear terms")
+        for name, con in core.constraints.items():
+            if con.active and con.bilinear:
+                raise NonLinearSideConstraints(
+                    f"constraint {name!r} is bilinear and not part of the pooling core"
+                )
+        return core
 
 
 def _require_frozen(net: Network) -> None:
@@ -254,46 +281,36 @@ def build_pq(net: Network) -> PQModel:
         )
         groups["simplex"].append(name)
 
-    # product quality rows per (j,k)
+    # product quality rows per (j,k): the composition against the limit
+    def add_quality_row(j: str, k: str, limit: float, sense: Sense) -> None:
+        side = "upper" if sense is Sense.LE else "lower"
+        group = f"product_quality_{side}_bound"
+        expr = LinearExpr()
+        for l in by_output_pools[j]:
+            for i in by_pool_inputs[l]:
+                expr.add_term(v[(i, l, j)], _quality(net, i, k))
+        for i in by_output_bypass[j]:
+            expr.add_term(y_bypass[(i, j)], _quality(net, i, k))
+        for l in by_output_pools[j]:
+            expr.add_term(y_pool[(l, j)], -limit)
+        for i in by_output_bypass[j]:
+            expr.add_term(y_bypass[(i, j)], -limit)
+        name = f"{group}[{j},{k}]"
+        model.add_constraint(name, expr, sense, 0.0)
+        groups[group].append(name)
+
     for j in outputs:
         node = net.nodes[j]
-        total_terms: list[tuple[int, float]] = []
-        for l in by_output_pools[j]:
-            total_terms.append((y_pool[(l, j)], 1.0))
-        for i in by_output_bypass[j]:
-            total_terms.append((y_bypass[(i, j)], 1.0))
-        if not total_terms:
+        if not by_output_pools[j] and not by_output_bypass[j]:
             continue
         for k in sorted(node.quality_upper):
-            pu = float(node.quality_upper[k])
-            expr = LinearExpr()
-            for l in by_output_pools[j]:
-                for i in by_pool_inputs[l]:
-                    expr.add_term(v[(i, l, j)], _quality(net, i, k))
-            for i in by_output_bypass[j]:
-                expr.add_term(y_bypass[(i, j)], _quality(net, i, k))
-            for vid, coeff in total_terms:
-                expr.add_term(vid, -pu * coeff)
-            name = f"product_quality_upper_bound[{j},{k}]"
-            model.add_constraint(name, expr, Sense.LE, 0.0)
-            groups["product_quality_upper_bound"].append(name)
+            add_quality_row(j, k, float(node.quality_upper[k]), Sense.LE)
         for k in sorted(node.quality_lower):
             if k not in quality_union:
                 raise MissingQuality(
                     f"output {j!r} bounds quality {k!r} which no input provides"
                 )
-            pl = float(node.quality_lower[k])
-            expr = LinearExpr()
-            for l in by_output_pools[j]:
-                for i in by_pool_inputs[l]:
-                    expr.add_term(v[(i, l, j)], _quality(net, i, k))
-            for i in by_output_bypass[j]:
-                expr.add_term(y_bypass[(i, j)], _quality(net, i, k))
-            for vid, coeff in total_terms:
-                expr.add_term(vid, -pl * coeff)
-            name = f"product_quality_lower_bound[{j},{k}]"
-            model.add_constraint(name, expr, Sense.GE, 0.0)
-            groups["product_quality_lower_bound"].append(name)
+            add_quality_row(j, k, float(node.quality_lower[k]), Sense.GE)
 
     # input_capacity[i]: A_L <= sum v + sum bypass <= A_U
     for i in inputs:

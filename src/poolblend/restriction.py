@@ -6,9 +6,10 @@ With the bilinear path rows switched off the restricted model is a MIP whose
 feasible points map back to feasible pooling solutions, so its optimum is an
 upper bound for the original minimization.
 
-``install_restriction`` builds the MIP on a clone of ``pq.model`` and swaps
-the clone in; ``uninstall_restriction`` swaps the original back.  The model
-``build_pq`` returned is never written, so there is nothing to undo.
+``install_restriction`` builds the MIP on ``pq.linear_core()``, the clone of
+``pq.model`` without its bilinear pooling rows, and swaps the clone in;
+``uninstall_restriction`` swaps the original back.  The model ``build_pq``
+returned is never written, so there is nothing to undo.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
     """Set ``pq.model`` to a restricted clone of it, until
     ``uninstall_restriction``.
 
-    The clone switches off the ``path_definition`` and ``pq_cut`` rows and
-    adds the ``w`` and ``zeta`` columns and the ``flow_balance``,
-    ``flow_balance_2``, ``flow_choice_limit`` and ``flow_choice`` rows.  A
-    failed install leaves ``pq`` as it was.
+    The clone is ``pq.linear_core()``, which raises
+    ``NonLinearSideConstraints`` on any other bilinear row or a bilinear
+    objective; the install adds the ``w`` and ``zeta`` columns and the
+    ``flow_balance``, ``flow_balance_2``, ``flow_choice_limit`` and
+    ``flow_choice`` rows.  A failed install leaves ``pq`` as it was.
     """
     if getattr(pq, "_restriction", None) is not None:
         raise AlreadyRestricted("a restriction is already installed on this model")
@@ -103,10 +105,7 @@ def install_restriction(pq: PQModel, spec: RestrictionSpec) -> RestrictedModel:
             )
 
     base = pq.model
-    model = base.clone()
-    for group in ("path_definition", "pq_cut"):
-        for name in pq.groups.get(group, []):
-            model.deactivate(name)
+    model = pq.linear_core()
 
     w: dict[tuple[str, str, int, str], int] = {}
     zeta: dict[tuple[str, int, str], int] = {}

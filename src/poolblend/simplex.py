@@ -150,6 +150,8 @@ class LPArrays:
             for v in model.variables:
                 if v.domain is Domain.BINARY:
                     raise ValueError(f"variable {v.name!r} is binary; LP expects continuous")
+        if model.objective_bilinear:
+            raise ValueError("the objective has bilinear terms; relax first")
         c = np.zeros(len(model.variables))
         for var_id, coeff in model.objective.terms.items():
             c[var_id] = coeff
@@ -338,7 +340,6 @@ class _Simplex:
         with A given by its nonzeros: vals[k] sits at (rows[k], cols[k])."""
         m, n = b.size, c.size
         self.m, self.n = m, n
-        self.n_struct = n
         N = n + m + m  # structural | slacks | artificials
         self.N = N
         # A by columns: column j holds the entries col_ptr[j]:col_ptr[j+1],
@@ -892,7 +893,7 @@ class _Simplex:
         art_sum = float(np.sum(np.abs(self.x[self.art_start :])))
         if art_sum > 1e-7 * scale:
             return LPResult(
-                LPStatus.INFEASIBLE, math.inf, self.x[: self.n_struct].copy(), self.iterations
+                LPStatus.INFEASIBLE, math.inf, self.x[: self.n].copy(), self.iterations
             )
         self.up[self.art_start :] = 0.0
         return self._phase_two()
@@ -906,7 +907,7 @@ class _Simplex:
             self._refactor()
             status = self._dual_phase()
             if status is LPStatus.INFEASIBLE:
-                x = self.x[: self.n_struct].copy()
+                x = self.x[: self.n].copy()
                 return LPResult(LPStatus.INFEASIBLE, math.inf, x, self.iterations)
             if status is None:
                 return None
@@ -921,7 +922,7 @@ class _Simplex:
         status = self._phase(self.c_real)
         if status is LPStatus.UNBOUNDED:
             return LPResult(
-                LPStatus.UNBOUNDED, -math.inf, self.x[: self.n_struct].copy(), self.iterations
+                LPStatus.UNBOUNDED, -math.inf, self.x[: self.n].copy(), self.iterations
             )
         self._refactor()
         if not np.all(np.isfinite(self.x)):
@@ -932,8 +933,8 @@ class _Simplex:
         )
         if resid > 1e-7 or bound_drift > 1e-6:
             raise _Restart
-        x = self.x[: self.n_struct].copy()
-        obj = float(self.c_real[: self.n_struct] @ x)
+        x = self.x[: self.n].copy()
+        obj = float(self.c_real[: self.n] @ x)
         return LPResult(LPStatus.OPTIMAL, obj, x, self.iterations)
 
     def _worst_residual(self) -> float:
@@ -944,7 +945,7 @@ class _Simplex:
     def _bounds_only(self) -> LPResult:
         """No rows: each column rests at the bound its cost points to, a
         costless one at its finite lower bound, else its upper, else 0."""
-        n = self.n_struct
+        n = self.n
         c, lo, up = self.c_real[:n], self.lo[:n], self.up[:n]
         if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
             return LPResult(LPStatus.UNBOUNDED, -math.inf, np.zeros(n), 0)

@@ -29,9 +29,11 @@ parent's last LP is a row prefix of its child's LP and the start fits.
 Every node that its bound does not fathom offers an incumbent from one LP:
 the pool fractions q are fixed at the flow ratios of the node's point, which
 makes the pooling model an LP whose optimum is the best flow for that q
-(Audet et al., Management Sci. 50 (2004)).  Its arrays are built once per
-search; each call substitutes the fixed q and the path flows ``v = q*y``
-into them, and starts from the last fixed-q result.
+(Audet et al., Management Sci. 50 (2004)).  Its template is
+``pq.linear_core()``, the linear model the restriction MIP starts from too,
+built into arrays once per search.  Each call fixes q at those ratios qbar
+through its box, appends one row ``v - qbar*y = 0`` per path and starts
+from the last fixed-q result.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
@@ -263,19 +265,9 @@ def initial_primal_search(
 
     The MIP is solved on a restricted clone of ``pq.model`` that is swapped
     in for the solve and swapped out afterwards; ``pq.model`` itself is left
-    as it was.
-
-    Refuses models carrying bilinear rows outside the pooling core: the
-    restriction of such a model would silently drop them.
+    as it was.  A model with bilinear rows outside the pooling core, or a
+    bilinear objective, raises ``NonLinearSideConstraints`` from the install.
     """
-    core = set(pq.groups.get("path_definition", [])) | set(pq.groups.get("pq_cut", []))
-    for name, con in pq.model.constraints.items():
-        if con.active and con.bilinear and name not in core:
-            raise NonLinearSideConstraints(
-                f"constraint {name!r} is bilinear and not part of the pooling core"
-            )
-    if pq.model.objective_bilinear:
-        raise NonLinearSideConstraints("objective carries bilinear terms")
     gap = gap or _HEURISTIC_GAP
     rm = install_restriction(pq, RestrictionSpec(tau=tau))
     try:
@@ -348,12 +340,12 @@ class _FixedQ:
     """The pooling model with every pool fraction q fixed, as one LP in the
     flows whose template is built once per search.
 
-    With q fixed at ``qbar`` each path flow is ``v = qbar*y``, so the LP's
-    optimum is the best flow for those fractions.  The template ``base``
-    holds ``pq.model``'s rows without the path and ``pq_cut`` rows, which
-    follow from that substitution and the ``simplex`` rows once q is fixed;
-    ``arrays(qbar)`` substitutes into it.  A model with other bilinear rows
-    or a bilinear objective gets no template, and no fixed-q LP.
+    The template ``base`` holds the rows of ``pq.linear_core()``.  With q
+    fixed at ``qbar`` each path flow is ``v = qbar*y``, so ``arrays(qbar)``
+    fixes q through its box and appends one row ``v - qbar*y = 0`` per path;
+    the LP's optimum is the best flow for those fractions.  A model with
+    other bilinear rows or a bilinear objective gets no template, and no
+    fixed-q LP.
     """
 
     def __init__(self, pq: PQModel, deadline: float):
@@ -364,57 +356,37 @@ class _FixedQ:
         self.last: LPResult | None = None  # the last optimal LP, to start from
         self.lps = 0
         self.base: LPArrays | None = None
-        model = pq.model.clone()
-        for group in ("path_definition", "pq_cut"):
-            for name in pq.groups.get(group, []):
-                model.deactivate(name)
-        if model.objective_bilinear or any(
-            con.active and con.bilinear for con in model.constraints.values()
-        ):
+        try:
+            self.base = LPArrays.from_model(pq.linear_core())
+        except NonLinearSideConstraints:
             return
-        self.base = LPArrays.from_model(model)
         paths = list(pq.v)
         self.v = np.array([pq.v[p] for p in paths], dtype=np.intp)
         self.y = np.array([pq.y_pool[(l, j)] for _, l, j in paths], dtype=np.intp)
         position = {qid: k for k, qid in enumerate(self.q_ids)}
         self.q_of_v = np.array([position[pq.q[(i, l)]] for i, l, _ in paths], dtype=np.intp)
-        # per nonzero of the template: the path of its column if that is a
-        # v, the position of its column if that is a q, else -1
-        n = self.base.c.size
-        path_of, q_of = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
-        path_of[self.v] = np.arange(len(paths))
-        q_of[self.q_ids] = np.arange(len(self.q_ids))
-        self.path_at, self.q_at = path_of[self.base.cols], q_of[self.base.cols]
 
     def arrays(self, qbar: np.ndarray) -> LPArrays:
-        """The template with each q fixed at qbar and each v replaced by
-        qbar*y: v's entries move to y, scaled, and q's move to the right-hand
-        side.  v's upper bound becomes one on y, and v and q are fixed."""
-        base, v, y = self.base, self.v, self.y
-        n = base.c.size
-        qv = qbar[self.q_of_v]
-        on_v, on_q = self.path_at >= 0, self.q_at >= 0
-        cols, vals = base.cols.copy(), base.vals.copy()
-        cols[on_v] = y[self.path_at[on_v]]
-        vals[on_v] *= qv[self.path_at[on_v]]
-        b = base.b.copy()
-        np.subtract.at(b, base.rows[on_q], vals[on_q] * qbar[self.q_at[on_q]])
-        # merge the entries that land on one (row, y).  A sum that cancels,
-        # as reduction_1's (sum of qbar - 1) * y does, is dropped: kept, its
-        # rounding residue would fold the row into the bound y = 0
-        keys, merged = np.unique(base.rows[~on_q] * n + cols[~on_q], return_inverse=True)
-        total = np.bincount(merged, vals[~on_q])
-        kept = np.abs(total) > 1e-9 * np.bincount(merged, np.abs(vals[~on_q]))
-        c = base.c.copy()
-        np.add.at(c, y, c[v] * qv)
-        c[v] = 0.0
+        """The template with each q fixed at qbar and one row
+        ``v - qbar*y = 0`` per path appended; a zero coefficient is left
+        out, so a path with qbar 0 reads ``v = 0``."""
+        base, k = self.base, self.v.size
+        rows = np.repeat(base.b.size + np.arange(k), 2)
+        cols = np.column_stack([self.v, self.y]).ravel()
+        vals = np.column_stack([np.ones(k), -qbar[self.q_of_v]]).ravel()
+        kept = vals != 0.0
         lo, up = base.lo.copy(), base.up.copy()
-        lo[v] = up[v] = 0.0
         lo[self.q_ids] = up[self.q_ids] = qbar
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.minimum.at(up, y, np.where(qv > 0.0, base.up[v] / qv, math.inf))
-        rows, cols = np.divmod(keys[kept], n)
-        return replace(base, c=c, rows=rows, cols=cols, vals=total[kept], b=b, lo=lo, up=up)
+        return replace(
+            base,
+            rows=np.concatenate([base.rows, rows[kept]]),
+            cols=np.concatenate([base.cols, cols[kept]]),
+            vals=np.concatenate([base.vals, vals[kept]]),
+            senses=base.senses + ["="] * k,
+            b=np.concatenate([base.b, np.zeros(k)]),
+            lo=lo,
+            up=up,
+        )
 
 
 def _try_incumbent(fixed_q: _FixedQ, point, upper: float) -> tuple[dict[int, float], float] | None:

@@ -87,3 +87,18 @@ def test_run_once_raises_without_a_result_line(tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit('crashed')\n")
     with pytest.raises(RuntimeError, match="crashed"):
         run_once(tmp_path, "tree", 0)
+
+
+def test_rounding_level_differences_tie():
+    # root gap_sgm_pct of BENCH_21.json: the last digits of the LP objectives
+    # moved, 3e-14 relative, and once read as ten wins and a claimable gain
+    base = [_run(3.359549778435529, 3) for _ in range(10)]
+    change = [_run(3.359549778435425, 3) for _ in range(10)]
+    wall = compare(base, change, SPEC)["wall_s"]
+    assert (wall["change_wins"], wall["change_losses"]) == (0, 0)
+    assert not wall["claimable"] and wall["regressed"] is False
+    # a change that ties the best of a wide base does not beat all its runs,
+    # so the base's spread leaves the verdict open
+    wide = [_run(w, 3) for w in WIDE_WALL]
+    tied = [_run(min(WIDE_WALL) * (1 - 1e-12), 3) for _ in WIDE_WALL]
+    assert compare(wide, tied, SPEC)["wall_s"]["regressed"] == "unresolved"

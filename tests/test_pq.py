@@ -1,14 +1,25 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from poolblend import Network, build_pq, rebuild
+from poolblend import (
+    BilinearTerm,
+    GenSpec,
+    LinearExpr,
+    Network,
+    Sense,
+    build_pq,
+    generate_instance,
+    rebuild,
+)
 from poolblend.pq import index_set_ij, index_set_il, index_set_ilj, index_set_jk, index_set_lj
 from poolblend.errors import (
     EmptyLayer,
     InfeasiblePool,
     MissingQuality,
+    NonLinearSideConstraints,
     NotFrozen,
     UnmodelledCost,
 )
@@ -178,6 +189,63 @@ def test_build_is_deterministic(h1):
     b = build_pq(h1)
     assert a.model.dump() == b.model.dump()
     assert [v.name for v in a.model.variables] == [v.name for v in b.model.variables]
+
+
+def _with_lower_limits(h1):
+    """h1 with a lower sulfur limit one below each output's upper one."""
+    net = Network("h1_lower")
+    for node in h1.nodes.values():
+        attr = dict(node.attr)
+        if "quality_upper" in attr:
+            attr["quality_lower"] = {"sulfur": attr["quality_upper"]["sulfur"] - 1.0}
+        net.add_node(
+            node.layer, node.name, node.capacity_lower, node.capacity_upper, node.cost, attr
+        )
+    for e in h1.edges.values():
+        net.add_edge(e.source, e.destination)
+    return net.freeze()
+
+
+def test_dumps_match_their_golden_digest(h1, tiny_nets):
+    # h1, h1 with lower quality limits, the ten tiny specs and desk sparse
+    # s1-s3, dumped one after another; the digest was taken while each sense
+    # of product quality row had its own loop in build_pq
+    nets = [h1, _with_lower_limits(h1)] + [net for _, net in tiny_nets] + [
+        generate_instance(GenSpec("sparse_haverly", 8, 3, 5, 2, 22, s)) for s in (1, 2, 3)
+    ]
+    digest = hashlib.sha256()
+    for net in nets:
+        digest.update(build_pq(net).model.dump().encode())
+    assert digest.hexdigest() == "3f5591ce741dc30be9d1d22f7ae3e86f3e2dbfeed99607f27fe483b8a12c84de"
+    groups = build_pq(nets[1]).groups
+    assert groups["product_quality_lower_bound"] == [
+        "product_quality_lower_bound[j1,sulfur]", "product_quality_lower_bound[j2,sulfur]"
+    ]
+
+
+def test_linear_core_is_a_clone_without_the_bilinear_rows(h1_pq):
+    h1_pq.activate_group("pq_cut")
+    before = h1_pq.model.dump()
+    core = h1_pq.linear_core()
+    assert core is not h1_pq.model and h1_pq.model.dump() == before
+    off = set(h1_pq.groups["path_definition"] + h1_pq.groups["pq_cut"])
+    for name, con in core.constraints.items():
+        assert con.active == (name not in off)
+
+
+def test_linear_core_refuses_any_other_bilinear_term(h1_pq):
+    q0, y0 = h1_pq.q[("i1", "l1")], h1_pq.y_pool[("l1", "j1")]
+    h1_pq.model.objective_bilinear.append(BilinearTerm.of(1.0, q0, y0))
+    with pytest.raises(NonLinearSideConstraints, match="objective"):
+        h1_pq.linear_core()
+    h1_pq.model.objective_bilinear.clear()
+    h1_pq.model.add_constraint(
+        "user_row", LinearExpr(), Sense.LE, 5.0, bilinear=[BilinearTerm.of(1.0, q0, y0)]
+    )
+    with pytest.raises(NonLinearSideConstraints, match="user_row"):
+        h1_pq.linear_core()
+    h1_pq.model.deactivate("user_row")
+    assert not h1_pq.linear_core().constraints["user_row"].active
 
 
 def test_rebuild_idempotent(h1_pq):

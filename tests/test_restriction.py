@@ -3,14 +3,22 @@ import math
 import pytest
 
 from poolblend import (
+    BilinearTerm,
     GapSpec,
+    LinearExpr,
+    Sense,
     RestrictionSpec,
     derive_fractional_flows,
     install_restriction,
     solve_mip,
     uninstall_restriction,
 )
-from poolblend.errors import AlreadyRestricted, InfeasibleInput, InvalidWeights
+from poolblend.errors import (
+    AlreadyRestricted,
+    InfeasibleInput,
+    InvalidWeights,
+    NonLinearSideConstraints,
+)
 
 
 def test_install_tau2_doubles_pools(h1_pq):
@@ -161,3 +169,32 @@ def test_derive_after_uninstall_still_checks_the_solution(h1_pq):
     with pytest.raises(InfeasibleInput, match="solution violates"):
         derive_fractional_flows(rm, bad)
     assert derive_fractional_flows(rm, result.incumbent).objective == pytest.approx(-400.0)
+
+
+def test_bilinear_objective_is_refused_not_dropped(h1_pq):
+    # the restriction drops only the path and pq_cut rows; a bilinear
+    # objective term has no linear form, so the MIP is never solved without it
+    q0, y0 = h1_pq.q[("i1", "l1")], h1_pq.y_pool[("l1", "j1")]
+    h1_pq.model.objective_bilinear.append(BilinearTerm.of(-1.0, q0, y0))
+    base = h1_pq.model
+    with pytest.raises(NonLinearSideConstraints):
+        rm = install_restriction(h1_pq, RestrictionSpec(tau=1))
+        try:
+            solve_mip(h1_pq.model, GapSpec())
+        finally:
+            uninstall_restriction(rm)
+    assert h1_pq.model is base and getattr(h1_pq, "_restriction", None) is None
+
+
+def test_side_bilinear_row_is_refused_by_the_install(h1_pq):
+    q0, y0 = h1_pq.q[("i1", "l1")], h1_pq.y_pool[("l1", "j1")]
+    h1_pq.model.add_constraint(
+        "user_row", LinearExpr(), Sense.LE, 5.0, bilinear=[BilinearTerm.of(1.0, q0, y0)]
+    )
+    base = h1_pq.model
+    with pytest.raises(NonLinearSideConstraints, match="user_row"):
+        install_restriction(h1_pq, RestrictionSpec(tau=2))
+    assert h1_pq.model is base and getattr(h1_pq, "_restriction", None) is None
+    # switched off, the row no longer stands in the way
+    h1_pq.model.deactivate("user_row")
+    uninstall_restriction(install_restriction(h1_pq, RestrictionSpec(tau=2)))

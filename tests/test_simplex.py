@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from poolblend import (
+    BilinearTerm,
     GapSpec,
     GenSpec,
     LinearExpr,
@@ -729,6 +730,18 @@ def test_from_model_keeps_the_terms_as_nonzeros(h1):
             dense[i, k] = v
     assert arrays.A.tobytes() == dense.tobytes()
     assert not arrays.A.flags.writeable
+
+
+def test_from_model_rejects_a_bilinear_objective():
+    # LPArrays has no bilinear part, so the term would be dropped silently
+    m = Model("t")
+    x, y = m.add_variable("x", 0.0, 1.0), m.add_variable("y", 0.0, 1.0)
+    m.objective = LinearExpr({x.id: 1.0})
+    m.objective_bilinear.append(BilinearTerm.of(-1.0, x.id, y.id))
+    with pytest.raises(ValueError, match="objective"):
+        LPArrays.from_model(m)
+    with pytest.raises(ValueError):
+        solve_mip(m)
 
 
 def test_solvers_never_read_the_dense_matrix(monkeypatch, h1):

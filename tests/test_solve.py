@@ -696,6 +696,29 @@ def test_passed_deadline_starts_no_fixed_q_lp(monkeypatch, h1_pq):
     assert (report.fixed_q_lps, report.incumbent_source) == (0, None)
 
 
+def test_fixed_q_arrays_append_one_row_per_path(h1_pq):
+    fixed_q = solve_module._FixedQ(h1_pq, math.inf)
+    base, k = fixed_q.base, len(h1_pq.v)
+    # q[i1,l1] at 0, so its paths' rows read v = 0
+    qbar = np.array([0.0 if qid == h1_pq.q[("i1", "l1")] else 1.0 for qid in fixed_q.q_ids])
+    arrays = fixed_q.arrays(qbar)
+    m, nnz = base.b.size, base.vals.size
+    assert np.array_equal(arrays.vals[:nnz], base.vals)
+    assert np.array_equal(arrays.cols[:nnz], base.cols)
+    assert arrays.b.size == m + k and arrays.senses[m:] == ["="] * k
+    assert np.all(np.diff(arrays.rows) >= 0)
+    dense = arrays.A[m:]
+    for (i, l, j), row in zip(h1_pq.v, dense):
+        expected = np.zeros(base.c.size)
+        expected[h1_pq.v[(i, l, j)]] = 1.0
+        expected[h1_pq.y_pool[(l, j)]] = -qbar[fixed_q.q_ids.index(h1_pq.q[(i, l)])]
+        assert np.array_equal(row, expected)
+    assert np.count_nonzero(dense) == k + 2  # the two i1 paths drop their y
+    assert np.array_equal(arrays.lo[fixed_q.q_ids], qbar)
+    assert np.array_equal(arrays.up[fixed_q.q_ids], qbar)
+    assert np.array_equal(arrays.c, base.c)
+
+
 def test_side_bilinear_rows_get_no_fixed_q_lp(h1_pq):
     # fixing q linearizes only the path rows, so a model with another
     # bilinear row gets no fixed-q LP rather than a wrong one

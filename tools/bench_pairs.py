@@ -15,7 +15,8 @@ The output holds, per workload and end-to-end metric, every run of each
 side, each side's median and quartiles (``perfbench/spread.py``'s
 ``summarize``), the change's median relative to the base's, and the pairs
 the change wins in the metric's better direction from ``BENCHMARK.json``
-(ties count for neither side).  A gain is claimed only over at least ten
+(ties count for neither side; two readings within ``TIE_RTOL`` of each
+other, relative, tie).  A gain is claimed only over at least ten
 pairs, when the change fails no more operations than the base, wins at
 least nine pairs in ten and the medians differ by more than the base's
 interquartile distance; ``claimable`` records that test.  ``regressed``
@@ -40,6 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from spread import summarize  # noqa: E402
+
+# readings this close, relative, tie: a last-digit rounding difference is no gain
+TIE_RTOL = 1e-9
 
 
 def git(*args: str) -> str:
@@ -80,6 +84,13 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
+def beats(a: float, b: float, lower: bool) -> bool:
+    """Whether reading ``a`` is better than ``b`` by more than a tie."""
+    if abs(a - b) <= TIE_RTOL * max(abs(a), abs(b)):
+        return False
+    return a < b if lower else a > b
+
+
 def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
     """Pairwise wins and medians of base and change for every metric."""
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
@@ -90,12 +101,13 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
     for key, lower in lower_is_better.items():
         pairs = [(b["metrics"][key]["value"], c["metrics"][key]["value"])
                  for b, c in zip(base, change)]
-        wins = sum(c < b if lower else c > b for b, c in pairs)
-        losses = sum(c > b if lower else c < b for b, c in pairs)
+        wins = sum(beats(c, b, lower) for b, c in pairs)
+        losses = sum(beats(b, c, lower) for b, c in pairs)
         b_med, c_med = base_sum[key]["median"], change_sum[key]["median"]
         change_vs_base = (c_med - b_med) / abs(b_med) if b_med else 0.0
         b_runs, c_runs = [b for b, _ in pairs], [c for _, c in pairs]
-        beats_all = max(c_runs) < min(b_runs) if lower else min(c_runs) > max(b_runs)
+        pick_worst, pick_best = (max, min) if lower else (min, max)
+        beats_all = beats(pick_worst(c_runs), pick_best(b_runs), lower)
         if base_sum[key]["spread"] > bounds[key] and not beats_all:
             regressed = "unresolved"
         else:

@@ -17,11 +17,11 @@ function (convex for s > 0), the second only on triplets where every
 feasible t is nonpositive, i.e. beta_hi <= 0, which is the closure of its
 convexity region.
 
-The gradient cuts are globally valid, so one pool serves a whole search.
-The CutBlock owns it: the cut names in install order and their normalized
-keys.  add_valid_cuts names a new cut by the pool's length and installs it
-into the block's relaxation and into the node relaxation it was found on,
-so the two never need to be brought back in step.
+Branch & cut separates the gradient cuts at the root only.  The CutBlock
+owns their pool: the cut names in install order and their normalized keys.
+add_valid_cuts names a new cut by the pool's length and installs it into
+the block's relaxation and into the one it was found on (the root's
+clone), so the tree searches one frozen relaxation with every cut.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class CutBlock:
     envelope_rows: list[str]
     static_rows: list[str]
     # the gradient cuts installed so far, in order, and their normalized
-    # coefficient keys; shared by every node relaxation of a search
+    # coefficient keys; in branch & cut, the root's cuts only
     cut_pool: list[str] = field(default_factory=list)
     cut_keys: set[tuple] = field(default_factory=set)
 
@@ -353,8 +353,8 @@ def add_valid_cuts(cb: CutBlock, rm: RelaxedModel, point, eps: float = DEFAULT_V
     are skipped, so the call is safe inside a cut loop.
 
     Each new cut is installed into ``cb.rm`` and, when ``rm`` is another
-    relaxation (a node's clone of ``cb.rm``), into ``rm`` too, under the
-    same name.
+    relaxation (in branch & cut, the root node's clone of ``cb.rm``; no
+    other node separates cuts), into ``rm`` too, under the same name.
     """
     added = 0
     for cut in generate_valid_cuts(cb, point, eps):

@@ -18,13 +18,11 @@ every binary at its rounded value.
 
 Spatial branch & cut has one node evaluation: its root is the first node
 the search pops, and every node, the root included, is evaluated on a clone
-of the root relaxation.  The root's LP is cold.
-Each later node starts from the LP result its parent ended with, after the
-parent's cut rounds, and each cut round from the round before.  The
-gradient cuts are globally valid, so the cut block keeps one pool for the
-whole tree: a cut found at a node goes into the node's clone and into the
-root relaxation that later nodes clone.  Nodes run one at a time, so a
-parent's last LP is a row prefix of its child's LP and the start fits.
+of the root relaxation.  Cuts are separated at the root only: its cut loop
+starts cold, each round from the round before, and installs every cut into
+the root relaxation as well.  After the root the relaxation is frozen, so
+every other node solves one LP with exactly the root's final rows, warm
+from the LP result its parent ended with.
 
 Every node that its bound does not fathom offers an incumbent from one LP:
 the pool fractions q are fixed at the flow ratios of the node's point, which
@@ -37,11 +35,10 @@ from the last fixed-q result.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
-``_MAX_CUT_ROUNDS`` rounds per node, in nodes down to depth
-``_IN_TREE_CUT_DEPTH``, at violation ``cuts.DEFAULT_VIOLATION_EPS``).  The
-caller's time limit also bounds the initial primal search, whose own limit
-is ``_HEURISTIC_GAP``'s 60 s, the cut rounds and the nodes, the root
-included: none starts past it.
+``_MAX_CUT_ROUNDS`` rounds, at the root only, at violation
+``cuts.DEFAULT_VIOLATION_EPS``).  The caller's time limit also bounds the
+initial primal search, whose own limit is ``_HEURISTIC_GAP``'s 60 s, the
+root's cut rounds and the nodes, the root included: none starts past it.
 """
 
 from __future__ import annotations
@@ -84,9 +81,8 @@ __all__ = [
 
 _GAP_EPS = 1e-10
 _MC_FEAS_TOL = 1e-6
-# cut rounds per node, and the deepest node that runs them
+# cut rounds at the root; no other node runs any
 _MAX_CUT_ROUNDS = 20
-_IN_TREE_CUT_DEPTH = 4
 
 
 @dataclass
@@ -283,8 +279,9 @@ def initial_primal_search(
 class SolveOptions:
     use_pooling_cuts: bool = True
     use_primal_heuristic: bool = True
-    # observer hook, called after each node's LP (and cut rounds) with the
-    # node record and its LPResult; fathomed nodes are not revisited
+    # observer hook, called after each node's LP (at the root, after its cut
+    # rounds; cuts run at the root only) with the node record and its
+    # LPResult; fathomed nodes are not revisited
     node_hook: object | None = None
 
 
@@ -293,8 +290,9 @@ class BnBNode:
     id: int
     depth: int
     overrides: dict[int, tuple[float, float]]
-    # the LP result the parent ended with, after its cut rounds; siblings
-    # share it, and the node's first LP starts from it
+    # the LP result the parent ended with (the root's after its cut rounds;
+    # cuts run at the root only); siblings share it, and the node's one LP
+    # starts from it
     start: LPResult | None = None
 
 
@@ -425,16 +423,13 @@ def _try_incumbent(fixed_q: _FixedQ, point, upper: float) -> tuple[dict[int, flo
 
 
 def _cut_loop(
-    rm: RelaxedModel,
-    cb: CutBlock | None,
-    start: LPResult | None = None,
-    deadline: float = math.inf,
+    rm: RelaxedModel, cb: CutBlock | None, deadline: float = math.inf
 ) -> tuple[LPResult, list[tuple[float, int]]]:
-    """Solve the relaxation, then separate and re-solve for at most
+    """Solve the relaxation cold, then separate and re-solve for at most
     ``_MAX_CUT_ROUNDS`` rounds, starting none once ``deadline`` (on the
     ``time.monotonic()`` clock) has passed; return the last LP and, per
     round, the objective it separated and the number of cuts it added."""
-    res = solve_lp(rm.lp, start=start)
+    res = solve_lp(rm.lp)
     rounds: list[tuple[float, int]] = []
     if cb is None:
         return res, rounds
@@ -494,11 +489,11 @@ def branch_and_cut(
     """Spatial branch & cut to global optimality of the pooling model.
 
     The root is the first node of the ``_Search``, and every node goes
-    through one evaluation, on a clone of the root relaxation (its cuts
-    included) tightened to the node box; the root's LP is cold, and each
-    later node re-optimizes from its parent's last LP result.  Nodes down
-    to depth ``_IN_TREE_CUT_DEPTH`` run cut rounds, whose new cuts the cut
-    block also installs into the root relaxation.  Every node that its
+    through one evaluation, on a clone of the root relaxation tightened to
+    the node box.  Cuts are added at the root only: its cut loop starts
+    cold and installs each cut into the root relaxation too.  Every other
+    node solves one LP on the frozen relaxation, the root's cuts included,
+    warm from its parent's last LP result.  Every node that its
     bound does not fathom fixes q at its LP point's flow ratios and solves
     the fixed-q LP (``_try_incumbent``) for an incumbent; a q solved before
     in the search is not solved again.  A node is dropped without a proof
@@ -510,9 +505,9 @@ def branch_and_cut(
     incumbent within the gap.  ``nodes`` and ``gap.node_limit`` do not
     count the root, so ``node_limit=0`` still evaluates it.
     ``gap.time_limit`` caps the heuristic's own limit and stops the search,
-    the root included, the cut rounds and the fixed-q LPs; a limit spent
-    before the root reports lower ``-inf``.  ``fixed_q_lps`` counts the
-    fixed-q LPs solved, and ``incumbent_source`` names where the final
+    the root included, the root's cut rounds and the fixed-q LPs; a limit
+    spent before the root reports lower ``-inf``.  ``fixed_q_lps`` counts
+    the fixed-q LPs solved, and ``incumbent_source`` names where the final
     incumbent came from.
     """
     gap = gap or GapSpec()
@@ -547,16 +542,15 @@ def branch_and_cut(
         # relaxation tightened to its box
         rm_node = rm.clone()
         refresh_bounds(rm_node, node.overrides)
-        t0 = time.monotonic()
-        try:
-            # add_valid_cuts installs each new cut into the root relaxation
-            # too, so every later clone carries it and this node's last LP
-            # stays a row prefix of its children's LPs
-            res, _ = _cut_loop(
-                rm_node, cb if node.depth <= _IN_TREE_CUT_DEPTH else None, node.start, deadline
-            )
-        finally:
-            if not node.depth:
+        if node.depth:
+            res = solve_lp(rm_node.lp, start=node.start)
+        else:
+            t0 = time.monotonic()
+            try:
+                # add_valid_cuts installs each cut into the root relaxation
+                # too, so every later clone carries the root's final rows
+                res, _ = _cut_loop(rm_node, cb, deadline)
+            finally:
                 root_cut_seconds = time.monotonic() - t0
         if options.node_hook is not None:
             options.node_hook(node, res)
@@ -609,7 +603,7 @@ def branch_and_cut(
         rel_gap=relative_gap(lower, upper),
         # the root is not counted
         nodes=max(search.nodes - 1, 0),
-        # every cut the search added, at the root and in the tree
+        # every cut the search added, all of them at the root
         cuts=len(cb.cut_pool) if cb is not None else 0,
         wall_seconds=time.monotonic() - start,
         heuristic_seconds=heuristic_seconds,

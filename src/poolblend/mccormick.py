@@ -42,13 +42,6 @@ class RelaxedModel:
         # entries are frozen, so the clone shares them
         return RelaxedModel(lp=self.lp.clone(), envelopes=dict(self.envelopes))
 
-    def mccormick_residual(self, point) -> float:
-        """Largest |w - x*y| over all envelopes at the point."""
-        worst = 0.0
-        for entry in self.envelopes.values():
-            worst = max(worst, abs(point[entry.aux_id] - point[entry.x_id] * point[entry.y_id]))
-        return worst
-
 
 def _corner_products(xl, xu, yl, yu) -> list[float]:
     return [xl * yl, xl * yu, xu * yl, xu * yu]

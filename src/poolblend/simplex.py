@@ -2,13 +2,13 @@
 that re-optimizes from an earlier optimal basis.
 
 Numpy implementation sized for the instances this package generates
-(hundreds of rows).  ``LPArrays`` holds the rows by their nonzeros, filled
+(hundreds of rows).  ``LPArrays`` holds the rows by their entries, filled
 from each row's terms, and no m x n array is formed between the model and
 the result.  ``solve_arrays`` decides what the simplex carries from the
-nonzeros' row counts: after the bound overrides, every row with at most one
-nonzero is a bound, so ``a * x_j (sense) b`` tightens the box of x_j by b/a
-(the sense flips for a < 0) and an empty row is checked and dropped.  All
-such rows fold at once, with the same boxes as folding them one by one.
+entries' row counts, stored zeros included: after the bound overrides, every
+row with at most one entry is a bound, so ``a * x_j (sense) b`` tightens the
+box of x_j by b/a (the sense flips for a < 0) and an empty row is checked
+and dropped.  All such rows fold at once, with the same boxes as one by one.
 A box that crosses by at most 1e-9 relative is snapped to a point, since a
 quotient can land an ulp outside; a wider crossing is infeasible.  The
 solution keeps every column.
@@ -27,7 +27,9 @@ the large root LPs.  A refactor inverts only the structural kernel, the
 basic structural columns on the rows that no basic unit column covers, and
 assembles the explicit basis inverse blockwise from it (Suhl & Suhl's
 triangular pre-pass over the unit columns): O(k^3 + (m-k) k^2) for k basic
-structurals, against O(m^3) for the whole basis.  It keeps the basic
+structurals, against O(m^3) for the whole basis.  Each refactor checks the
+inverse on B (B_inv 1) = 1, which every column of B_inv enters, and repairs
+the basis when a row misses by more than 1e-6.  It keeps the basic
 structural columns by their nonzeros, scatters only the kernel (and, for
 the basis repair, the kernel rows) into a dense block, and writes the unit
 rows' block of the inverse a slab of rows at a time, so no dense m x k block
@@ -119,8 +121,9 @@ class LPResult:
 class LPArrays:
     """Row/column form of a model: A x (sense) b, lo <= x <= up, min c x.
 
-    A is held by its nonzeros, in ascending row order: vals[k] sits at
-    (rows[k], cols[k]).
+    A is held by its entries, in ascending row order: vals[k] sits at
+    (rows[k], cols[k]).  A row's entry count, stored zeros included, decides
+    whether ``solve_arrays`` folds it; ``from_model`` stores nonzeros only.
     """
 
     c: np.ndarray
@@ -243,10 +246,11 @@ def solve_arrays(
 
 
 def _fold_singleton_rows(rows, cols, vals, counts, kinds, b, lo, up) -> bool:
-    """Fold every row with at most one nonzero into lo and up, in place.
+    """Fold every row with at most one entry into lo and up, in place.
 
-    Row i with the one nonzero a at column j is a * x_j (sense) b, a bound
-    b / a on x_j; the sense flips for a < 0.  An empty row is only checked.
+    counts includes stored zeros.  Row i with the one entry a (nonzero) at
+    column j is a * x_j (sense) b, a bound b / a on x_j; the sense flips for
+    a < 0.  An empty row is only checked.
     Returns False when an empty row is violated or a box crosses by more
     than 1e-9 relative; a box that crosses by less is snapped to a point,
     since a quotient can land an ulp outside it.
@@ -515,13 +519,13 @@ class _Simplex:
         self.x[self.basis] = self.B_inv @ (self.b - self._row_activity(xn))
 
     def _refactor(self) -> None:
-        # spot-check one column of the inverse; LAPACK returns garbage
-        # silently near singularity instead of raising
+        # check the inverse against B; LAPACK returns garbage silently near
+        # singularity instead of raising
         split = self._split()
         if (
             not self._factor(split)
             or not np.all(np.isfinite(self.B_inv))
-            or self._probe_error(split, self.iterations % self.m) > 1e-6
+            or self._probe_error(split) > 1e-6
         ):
             self._repair_basis()
             return
@@ -561,15 +565,15 @@ class _Simplex:
             B_inv[np.ix_(unit[t], kernel)] = block
         return True
 
-    def _probe_error(self, split: _Split, p: int) -> float:
-        """max |B B_inv[:, p] - e_p|, with B applied over its nonzeros."""
-        col = self.B_inv[:, p]
+    def _probe_error(self, split: _Split) -> float:
+        """max |B (B_inv 1) - 1|, with B applied over its nonzeros: every
+        column of B_inv enters it."""
+        col = self.B_inv @ np.ones(self.m)
         weights = split.nz_vals * col[split.struct][split.nz_pos]
         # float even when no structural is basic: bincount of nothing is int
         image = np.bincount(split.nz_rows, weights=weights, minlength=self.m).astype(float)
         image[split.rows] += split.signs * col[split.unit]
-        image[p] -= 1.0
-        return float(np.max(np.abs(image)))
+        return float(np.max(np.abs(image - 1.0)))
 
     def _repair_basis(self) -> None:
         """Replace linearly dependent basic columns with artificials.

@@ -29,9 +29,9 @@ the pool fractions q are fixed at the flow ratios of the node's point, which
 makes the pooling model an LP whose optimum is the best flow for that q
 (Audet et al., Management Sci. 50 (2004)).  Its template is
 ``pq.linear_core()``, the linear model the restriction MIP starts from too,
-built into arrays once per search.  Each call fixes q at those ratios qbar
-through its box, appends one row ``v - qbar*y = 0`` per path and starts
-from the last fixed-q result.
+built into arrays once per search with one row ``v - qbar*y = 0`` per path.
+Each call writes those ratios qbar into the q boxes and the path rows in
+place and starts from the last fixed-q result, which has the same rows.
 
 ``SolveOptions`` only switches the cuts and the heuristic on or off and
 carries an observer hook; the cut-loop limits are module constants (at most
@@ -336,14 +336,14 @@ class SolveReport:
 
 class _FixedQ:
     """The pooling model with every pool fraction q fixed, as one LP in the
-    flows whose template is built once per search.
+    flows whose arrays ``base`` are built once per search.
 
-    The template ``base`` holds the rows of ``pq.linear_core()``.  With q
-    fixed at ``qbar`` each path flow is ``v = qbar*y``, so ``arrays(qbar)``
-    fixes q through its box and appends one row ``v - qbar*y = 0`` per path;
-    the LP's optimum is the best flow for those fractions.  A model with
-    other bilinear rows or a bilinear objective gets no template, and no
-    fixed-q LP.
+    With q fixed at ``qbar`` each path flow is ``v = qbar*y``, so ``base``
+    holds the rows of ``pq.linear_core()`` and one row ``v - qbar*y = 0``
+    per path.  ``_try_incumbent`` writes qbar into them and the q boxes in
+    place; a ``y`` entry stays stored at qbar 0, so no row folds at one
+    qbar and not at another.  A model with other bilinear rows or a
+    bilinear objective gets no arrays, and no fixed-q LP.
     """
 
     def __init__(self, pq: PQModel, deadline: float):
@@ -355,7 +355,7 @@ class _FixedQ:
         self.lps = 0
         self.base: LPArrays | None = None
         try:
-            self.base = LPArrays.from_model(pq.linear_core())
+            core = LPArrays.from_model(pq.linear_core())
         except NonLinearSideConstraints:
             return
         paths = list(pq.v)
@@ -363,27 +363,16 @@ class _FixedQ:
         self.y = np.array([pq.y_pool[(l, j)] for _, l, j in paths], dtype=np.intp)
         position = {qid: k for k, qid in enumerate(self.q_ids)}
         self.q_of_v = np.array([position[pq.q[(i, l)]] for i, l, _ in paths], dtype=np.intp)
-
-    def arrays(self, qbar: np.ndarray) -> LPArrays:
-        """The template with each q fixed at qbar and one row
-        ``v - qbar*y = 0`` per path appended; a zero coefficient is left
-        out, so a path with qbar 0 reads ``v = 0``."""
-        base, k = self.base, self.v.size
-        rows = np.repeat(base.b.size + np.arange(k), 2)
-        cols = np.column_stack([self.v, self.y]).ravel()
-        vals = np.column_stack([np.ones(k), -qbar[self.q_of_v]]).ravel()
-        kept = vals != 0.0
-        lo, up = base.lo.copy(), base.up.copy()
-        lo[self.q_ids] = up[self.q_ids] = qbar
-        return replace(
-            base,
-            rows=np.concatenate([base.rows, rows[kept]]),
-            cols=np.concatenate([base.cols, cols[kept]]),
-            vals=np.concatenate([base.vals, vals[kept]]),
-            senses=base.senses + ["="] * k,
-            b=np.concatenate([base.b, np.zeros(k)]),
-            lo=lo,
-            up=up,
+        k = self.v.size
+        # each path row holds its v entry, then its y entry
+        self.y_at = core.vals.size + 2 * np.arange(k) + 1
+        self.base = replace(
+            core,
+            rows=np.concatenate([core.rows, np.repeat(core.b.size + np.arange(k), 2)]),
+            cols=np.concatenate([core.cols, np.column_stack([self.v, self.y]).ravel()]),
+            vals=np.concatenate([core.vals, np.tile([1.0, 0.0], k)]),
+            senses=core.senses + ["="] * k,
+            b=np.concatenate([core.b, np.zeros(k)]),
         )
 
 
@@ -406,7 +395,11 @@ def _try_incumbent(fixed_q: _FixedQ, point, upper: float) -> tuple[dict[int, flo
     if key in fixed_q.solved:
         return None
     fixed_q.solved.add(key)
-    res = solve_arrays(fixed_q.arrays(qbar), start=fixed_q.last)
+    base = fixed_q.base
+    # solve_arrays copies what it changes, so base stays as written here
+    base.vals[fixed_q.y_at] = -qbar[fixed_q.q_of_v]
+    base.lo[fixed_q.q_ids] = base.up[fixed_q.q_ids] = qbar
+    res = solve_arrays(base, start=fixed_q.last)
     fixed_q.lps += 1
     if res.status is not LPStatus.OPTIMAL:
         return None
@@ -456,7 +449,8 @@ def print_cut_rounds(res: LPResult, rounds: list[tuple[float, int]]) -> None:
         print(f"Iter {len(rounds)}: {res.objective if optimal else 'LP ' + res.status.value}")
 
 def _branch_variable(rm: RelaxedModel, point, overrides) -> tuple[int, float] | None:
-    """Variable with the largest envelope residual and room to split.
+    """Variable with the largest envelope residual above ``_MC_FEAS_TOL``
+    and room to split; None when there is none.
 
     The two factors of a product tie on the residual; the tie goes to the one
     with the larger remaining box (relative to its root width) so both factor
@@ -476,7 +470,7 @@ def _branch_variable(rm: RelaxedModel, point, overrides) -> tuple[int, float] | 
 
     for vid in sorted(score, key=lambda v: (-score[v], -rel_width(v), v)):
         lo, up = overrides.get(vid, (rm.lp.variables[vid].lower, rm.lp.variables[vid].upper))
-        if up - lo > 1e-7 and score[vid] > 0.0:
+        if up - lo > 1e-7 and score[vid] > _MC_FEAS_TOL:
             width = up - lo
             xhat = min(max(point[vid], lo + 0.2 * width), up - 0.2 * width)
             return vid, xhat
@@ -572,12 +566,10 @@ def branch_and_cut(
         if found is not None:
             search.offer(*found)
             source = "fixed_q"
-        if rm_node.mccormick_residual(res.x) <= _MC_FEAS_TOL:
-            # the relaxation is exact here, but the node is a proof only if
-            # the incumbent meets its bound
-            return bound, None
         picked = _branch_variable(rm, res.x, node.overrides)
         if picked is None:
+            # envelope-tight or nothing left to split: the node is a proof
+            # only if the incumbent meets its bound
             return bound, None
         var_id, xhat = picked
         lo, up = node.overrides.get(

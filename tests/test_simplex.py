@@ -373,6 +373,34 @@ def test_repair_leaves_a_nonsingular_basis(dependent):
     assert np.count_nonzero(s.status == s.BASIC) == m
 
 
+def test_probe_finds_a_bad_inverse_in_any_column(monkeypatch):
+    # K is singular in exact arithmetic, yet LAPACK inverts its floats
+    # without an error; the inverse is wrong only in the columns of K's
+    # rows, and column 0, the slack's, is exact
+    K = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+    A = np.vstack([np.ones(3), K])
+    rows, cols = np.nonzero(A)
+    b = np.concatenate([[10.0], K @ np.ones(3)])
+    S = simplex._Simplex
+    codes = np.array([S.BASIC] * 3 + [S.BASIC] + [S.AT_LOWER] * 3, dtype=np.int8)
+    s = S(np.zeros(3), rows, cols, A[rows, cols], ["<", "=", "=", "="], b,
+          np.zeros(3), np.full(3, 10.0), start=codes)
+    repairs = []
+    repair = S._repair_basis
+
+    def recording_repair(self):
+        repairs.append(self.basis.copy())
+        repair(self)
+
+    monkeypatch.setattr(S, "_repair_basis", recording_repair)
+    try:
+        s._refactor()
+    except simplex._Restart:
+        pass  # the repaired basis is factored before the restart is raised
+    assert len(repairs) == 1 and repairs[0].tolist() == [3, 0, 1, 2]
+    assert np.max(np.abs(_basis_matrix(A, s) @ s.B_inv - np.eye(4))) <= 1e-10
+
+
 def _sparse_lp(seed, m, n):
     """A _boxed_lp at density 0.15 with rows 0-3 cut down to one nonzero or
     none and column 0 nonzero only in those rows, so that no kept row

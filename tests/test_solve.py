@@ -658,8 +658,14 @@ def test_warm_fixed_q_lps_match_cold_solves(warm_outcomes, monkeypatch, h1_pq, t
     pqs = [h1_pq] + [build_pq(net) for _, net in tiny_nets] + [
         build_pq(generate_instance(spec)) for spec in desk
     ]
-    for pq in pqs:
-        branch_and_cut(pq, GapSpec(rel_tol=1e-4, node_limit=10), SolveOptions(use_primal_heuristic=False))
+    runs = [(pq, 10) for pq in pqs]
+    # a start whose basis the new coefficients make nearly singular: only a
+    # factor check over every column of the inverse catches it
+    runs.append((build_pq(generate_instance(GenSpec("dense_rand", 5, 3, 4, 2, 25, 2))), 100))
+    for pq, node_limit in runs:
+        branch_and_cut(
+            pq, GapSpec(rel_tol=1e-4, node_limit=node_limit), SolveOptions(use_primal_heuristic=False)
+        )
     assert checked["warm"] >= 10 and checked["taken"] >= 1
 
 
@@ -703,27 +709,31 @@ def test_passed_deadline_starts_no_fixed_q_lp(monkeypatch, h1_pq):
     assert (report.fixed_q_lps, report.incumbent_source) == (0, None)
 
 
-def test_fixed_q_arrays_append_one_row_per_path(h1_pq):
+def test_fixed_q_lps_share_one_array_set(monkeypatch, h1_pq):
+    # the point stands for its own flow ratios here, so it is qbar
+    monkeypatch.setattr(solve_module, "fractional_flow_values", lambda pq, point: point)
     fixed_q = solve_module._FixedQ(h1_pq, math.inf)
     base, k = fixed_q.base, len(h1_pq.v)
-    # q[i1,l1] at 0, so its paths' rows read v = 0
-    qbar = np.array([0.0 if qid == h1_pq.q[("i1", "l1")] else 1.0 for qid in fixed_q.q_ids])
-    arrays = fixed_q.arrays(qbar)
-    m, nnz = base.b.size, base.vals.size
-    assert np.array_equal(arrays.vals[:nnz], base.vals)
-    assert np.array_equal(arrays.cols[:nnz], base.cols)
-    assert arrays.b.size == m + k and arrays.senses[m:] == ["="] * k
-    assert np.all(np.diff(arrays.rows) >= 0)
-    dense = arrays.A[m:]
-    for (i, l, j), row in zip(h1_pq.v, dense):
-        expected = np.zeros(base.c.size)
-        expected[h1_pq.v[(i, l, j)]] = 1.0
-        expected[h1_pq.y_pool[(l, j)]] = -qbar[fixed_q.q_ids.index(h1_pq.q[(i, l)])]
-        assert np.array_equal(row, expected)
-    assert np.count_nonzero(dense) == k + 2  # the two i1 paths drop their y
-    assert np.array_equal(arrays.lo[fixed_q.q_ids], qbar)
-    assert np.array_equal(arrays.up[fixed_q.q_ids], qbar)
-    assert np.array_equal(arrays.c, base.c)
+    m = base.b.size - k
+    i1 = h1_pq.q[("i1", "l1")]
+    shapes = []
+    # q[i1,l1] at 0, then at no zero
+    for low, high in ((0.0, 1.0), (0.25, 0.75)):
+        qbar = {qid: low if qid == i1 else high for qid in fixed_q.q_ids}
+        solve_module._try_incumbent(fixed_q, qbar, math.inf)
+        shapes.append((base.rows.copy(), base.cols.copy(), base.b.copy(), list(base.senses)))
+        # every path row keeps its v and its y entry, the y entry at -qbar
+        assert np.array_equal(np.bincount(base.rows)[m:], [2] * k)
+        assert base.senses[m:] == ["="] * k
+        for (i, l, j), row in zip(h1_pq.v, base.A[m:]):
+            expected = np.zeros(base.c.size)
+            expected[h1_pq.v[(i, l, j)]] = 1.0
+            expected[h1_pq.y_pool[(l, j)]] = -qbar[h1_pq.q[(i, l)]]
+            assert np.array_equal(row, expected)
+        assert np.array_equal(base.lo[fixed_q.q_ids], list(qbar.values()))
+        assert np.array_equal(base.up[fixed_q.q_ids], list(qbar.values()))
+    assert fixed_q.lps == 2
+    assert all(np.array_equal(a, b) for a, b in zip(*shapes))
 
 
 def test_side_bilinear_rows_get_no_fixed_q_lp(h1_pq):
